@@ -17,16 +17,18 @@ Correctness is asserted, not assumed: labels must be byte-identical and
 folded arrays bit-for-bit equal.  ``--smoke`` runs a small configuration
 with strict identity checks and lenient timing floors, suitable for CI.
 
-Third section — **pwlr-kernel**: the moments search kernel
-(``search_kernel="moments"``) against the exact dense evaluator on the
-same series, across sample counts at the default configuration.  The
-kernels must select bit-identical models with identical
-``pwlr.candidate_evaluations``; the smoke gate requires >=5x wall-time
-reduction at n=5000.
+Third section — **pwlr-search**: one default-config ``fit_pwlr`` at
+227 (a live ``repro watch`` refit), 1k and 5k points, reporting wall time
+and candidate evaluations per second of the moments evaluator.  Its
+identity gate replays the seed-0 quick ``pwl_datasets`` corpus and
+requires every fit to match ``tests/golden/pwlr_search_seed0.json`` bit
+for bit.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -56,9 +58,11 @@ SMOKE_BURSTS = 4000
 SAMPLES_PER_BURST = 8
 COUNTERS = ("PAPI_TOT_INS", "PAPI_L3_TCM")
 
-PWLR_KERNEL_POINTS = (1000, 2000, 5000)
-PWLR_KERNEL_SMOKE_POINTS = 5000
-PWLR_KERNEL_SMOKE_FLOOR = 5.0
+PWLR_SEARCH_POINTS = (227, 1000, 5000)
+PWLR_GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "..", "tests", "golden", "pwlr_search_seed0.json",
+)
 
 
 def _study(optimized: bool):
@@ -295,7 +299,7 @@ def print_fast_path(report: Dict[str, float]) -> None:
 
 
 # ----------------------------------------------------------------------
-# pwlr-kernel: moments search kernel vs the exact dense evaluator
+# pwlr-search: the moments evaluator behind fit_pwlr
 # ----------------------------------------------------------------------
 
 def _pwlr_series(n_points: int, seed: int = 29):
@@ -312,68 +316,64 @@ def _pwlr_series(n_points: int, seed: int = 29):
     return x, y
 
 
-def _timed_fit(x: np.ndarray, y: np.ndarray, kernel: str):
-    from repro.fitting.pwlr import PWLRConfig, fit_pwlr
+def pwlr_search_report(n_points: int) -> Dict[str, float]:
+    """Time one default-config ``fit_pwlr``; returns wall time and the
+    candidate-evaluation rate read from the fit's own counters."""
+    from repro.fitting.pwlr import fit_pwlr
     from repro.observability import Observability
 
-    cfg = PWLRConfig(search_kernel=kernel)
+    x, y = _pwlr_series(n_points)
     obs = Observability(collect_rss=False)
     with obs.activate():
         t0 = time.perf_counter()
-        model = fit_pwlr(x, y, cfg)
+        model = fit_pwlr(x, y)
         wall = time.perf_counter() - t0
-    return model, wall, obs.metrics.snapshot()
-
-
-def pwlr_kernel_report(n_points: int) -> Dict[str, float]:
-    """Time one default-config ``fit_pwlr`` under both kernels on the
-    same series, asserting bit-identical models and identical candidate
-    evaluation counts.  Returns timings + counter-derived rates."""
-    x, y = _pwlr_series(n_points)
-    model_m, wall_m, snap_m = _timed_fit(x, y, "moments")
-    model_e, wall_e, snap_e = _timed_fit(x, y, "exact")
-
-    assert model_m.breakpoints.tobytes() == model_e.breakpoints.tobytes(), (
-        "kernels selected different breakpoints"
-    )
-    assert (
-        model_m.slopes.tobytes() == model_e.slopes.tobytes()
-        and model_m.intercept == model_e.intercept
-        and model_m.sse == model_e.sse
-    ), "kernels produced different final models"
-    evals_m = snap_m["pwlr.candidate_evaluations"]
-    evals_e = snap_e["pwlr.candidate_evaluations"]
-    assert evals_m == evals_e, (
-        f"candidate evaluations differ between kernels: {evals_m} vs {evals_e}"
-    )
-
+    snap = obs.metrics.snapshot()
+    evals = snap["pwlr.candidate_evaluations"]
     return {
         "n_points": float(n_points),
-        "n_breakpoints": float(model_m.breakpoints.size),
-        "moments_s": wall_m,
-        "exact_s": wall_e,
-        "speedup": wall_e / max(wall_m, 1e-12),
-        "evals": float(evals_m),
-        "moments_evals_per_s": evals_m / max(wall_m, 1e-12),
-        "exact_evals_per_s": evals_e / max(wall_e, 1e-12),
-        "cache_hit_rate": snap_m["pwlr.search_cache_hits"] / max(evals_m, 1),
+        "n_breakpoints": float(model.breakpoints.size),
+        "wall_s": wall,
+        "evals": float(evals),
+        "evals_per_s": evals / max(wall, 1e-12),
+        "escapes": float(snap.get("pwlr.search_exact_escapes", 0)),
     }
 
 
-def print_pwlr_kernel(reports: List[Dict[str, float]]) -> None:
-    print("pwlr-kernel: moments vs exact search (default PWLRConfig):")
-    print(
-        "  n        exact       moments     speedup   evals   "
-        "evals/s (moments)   cache-hit"
-    )
+def print_pwlr_search(reports: List[Dict[str, float]]) -> None:
+    print("pwlr-search: default PWLRConfig, moments evaluator:")
+    print("  n        wall       evals   evals/s     escapes   breakpoints")
     for r in reports:
         print(
-            f"  {int(r['n_points']):<7}  {r['exact_s']:>7.2f}s  "
-            f"{r['moments_s']:>8.3f}s  {r['speedup']:>7.1f}x  "
-            f"{int(r['evals']):>5}  {r['moments_evals_per_s']:>12.0f}        "
-            f"{r['cache_hit_rate']:>6.1%}"
+            f"  {int(r['n_points']):<7}  {r['wall_s']:>7.3f}s  "
+            f"{int(r['evals']):>6}  {r['evals_per_s']:>9.0f}  "
+            f"{int(r['escapes']):>7}   {int(r['n_breakpoints']):>5}"
         )
-    print("  models bit-identical, candidate evaluations equal: verified")
+
+
+def check_pwlr_golden() -> int:
+    """Replay the seed-0 quick corpus and require every ``fit_pwlr``
+    result to equal the recorded golden bit for bit; returns the number
+    of cases checked."""
+    from repro.fitting.pwlr import PWLRConfig, fit_pwlr
+    from repro.verify.corpus import pwl_datasets
+
+    with open(PWLR_GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)["cases"]
+    cases = pwl_datasets(0, full=False)
+    assert sorted(golden) == sorted(c.name for c in cases), "golden corpus drifted"
+    for case in cases:
+        model = fit_pwlr(
+            case.x, case.y, PWLRConfig(anchor=case.anchor, monotone=case.monotone)
+        )
+        got = {
+            "breakpoints": [float(b).hex() for b in model.breakpoints],
+            "slopes": [float(v).hex() for v in model.slopes],
+            "intercept": float(model.intercept).hex(),
+            "sse": float(model.sse).hex(),
+        }
+        assert got == golden[case.name], f"pwlr golden mismatch on {case.name}"
+    return len(cases)
 
 
 def smoke() -> None:
@@ -393,12 +393,9 @@ def smoke() -> None:
         f"fast-path end-to-end speedup collapsed: "
         f"{report['end_to_end_speedup']:.2f}x"
     )
-    kernel = pwlr_kernel_report(PWLR_KERNEL_SMOKE_POINTS)
-    print_pwlr_kernel([kernel])
-    assert kernel["speedup"] >= PWLR_KERNEL_SMOKE_FLOOR, (
-        f"moments kernel speedup below the {PWLR_KERNEL_SMOKE_FLOOR:.0f}x "
-        f"floor at n={PWLR_KERNEL_SMOKE_POINTS}: {kernel['speedup']:.2f}x"
-    )
+    print_pwlr_search([pwlr_search_report(n) for n in PWLR_SEARCH_POINTS])
+    n_cases = check_pwlr_golden()
+    print(f"  pwlr golden: {n_cases} corpus fits bit-identical")
     print("TAB-7 smoke: PASS")
 
 
@@ -411,13 +408,13 @@ def test_tab7_fast_path(benchmark):
     assert report["cluster_speedup"] > 1.0
 
 
-def test_tab7_pwlr_kernel(benchmark):
+def test_tab7_pwlr_search(benchmark):
     report = benchmark.pedantic(
-        lambda: pwlr_kernel_report(PWLR_KERNEL_SMOKE_POINTS), rounds=1, iterations=1
+        lambda: pwlr_search_report(1000), rounds=1, iterations=1
     )
-    # bit-identity + equal eval counts are asserted inside
-    assert report["speedup"] > 1.0
+    assert report["evals"] > 0
     assert report["n_breakpoints"] >= 2
+    assert check_pwlr_golden() > 0
 
 
 def main() -> None:
@@ -445,8 +442,9 @@ def main() -> None:
     print("--- analysis-pipeline fast path ---")
     print_fast_path(fast_path_report(FAST_PATH_BURSTS))
     print()
-    print("--- pwlr search kernel ---")
-    print_pwlr_kernel([pwlr_kernel_report(n) for n in PWLR_KERNEL_POINTS])
+    print("--- pwlr search ---")
+    print_pwlr_search([pwlr_search_report(n) for n in PWLR_SEARCH_POINTS])
+    print(f"pwlr golden: {check_pwlr_golden()} corpus fits bit-identical")
 
 
 if __name__ == "__main__":

@@ -92,7 +92,6 @@ from repro.service import (
     LiveDashboard,
     check_history,
     diff_stored,
-    kernel_shift_note,
     load_manifest,
     run_batch,
     stage_series,
@@ -732,9 +731,6 @@ def _cmd_perf_history(args: argparse.Namespace) -> int:
     print(format_table(
         ["stage", "runs", "mean s", "min s", "max s", "latest s"], rows
     ))
-    kernel_note = kernel_shift_note(records)
-    if kernel_note:
-        print(kernel_note)
     return 0
 
 

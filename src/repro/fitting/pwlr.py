@@ -19,25 +19,22 @@ local refinement, and the breakpoint *count* is selected by BIC (see
 removes boundaries between segments with statistically indistinguishable
 slopes.
 
-The search ranks thousands of candidate configurations per fit;
-``PWLRConfig.search_kernel`` chooses how those rankings are computed.
-``"moments"`` evaluates candidates through the prefix-moment normal
-equations of :mod:`repro.fitting.moments` — O(k^3) per candidate,
-independent of the sample count, batched over the whole grid —
-``"exact"`` keeps the dense per-candidate least squares, and ``"auto"``
-(the default) picks by data size and geometry.  Either way the kernel
-only *ranks*: the selected breakpoints are always refit through the
-exact (optionally NNLS-constrained, anchored) path, and both kernels
-select identical breakpoints — enforced by the ``pwlr_kernel`` selftest
-suite, which also checks full-pipeline results stay byte-identical
-through the store codec.
+The search ranks thousands of candidate configurations per fit, all on
+one evaluator: the prefix-moment normal equations of
+:mod:`repro.fitting.moments` score a whole batch of candidates in one
+vectorized pass, O(k^3) per candidate and independent of the sample
+count, and the search ranks the returned SSE arrays without building a
+model per candidate.  A row whose moments solve is unreliable escapes to
+the dense per-candidate least squares.  Only the winners are refit, and
+always through the exact (optionally NNLS-constrained, anchored) path;
+the ``pwlr_search`` selftest suite checks that the dense least-squares
+oracle ranks every greedy step the same way.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
@@ -215,15 +212,6 @@ class PWLRConfig:
         knee, which a PWL fit splits with two nearby breakpoints) and are
         merged into their weaker-boundary neighbor by the phase-detection
         stage.
-    search_kernel:
-        How candidate configurations are *ranked* during the breakpoint
-        search: ``"moments"`` uses the n-independent prefix-moment
-        kernel (:mod:`repro.fitting.moments`), ``"exact"`` the dense
-        per-candidate least squares, ``"auto"`` (default) picks moments
-        for large well-conditioned series and exact otherwise.  Both
-        kernels select identical breakpoints and results (the selected
-        configuration is always refit through the exact path), so this
-        knob is excluded from store fingerprints like ``n_jobs``.
     """
 
     max_breakpoints: int = 11
@@ -236,7 +224,6 @@ class PWLRConfig:
     merge_slope_tol: float = 0.12
     refine_passes: int = 2
     min_phase_span: float = 0.02
-    search_kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_breakpoints < 0:
@@ -256,11 +243,6 @@ class PWLRConfig:
         if not 0.0 <= self.min_phase_span < 0.5:
             raise FittingError(
                 f"min_phase_span must be in [0, 0.5): {self.min_phase_span}"
-            )
-        if self.search_kernel not in ("auto", "moments", "exact"):
-            raise FittingError(
-                "search_kernel must be 'auto', 'moments' or 'exact': "
-                f"{self.search_kernel!r}"
             )
 
 
@@ -350,160 +332,51 @@ def fit_fixed_breakpoints(
 
 
 # ----------------------------------------------------------------------
-# search scorer: kernel selection, batching, memoization
+# search evaluator
 # ----------------------------------------------------------------------
+class _SearchEvaluator:
+    """Scores candidate breakpoint configurations for the search.
 
-#: Below this many samples the dense evaluator is as fast as a batched
-#: moments solve, so "auto" keeps the reference path.
-_AUTO_MIN_POINTS = 512
-
-#: "auto" requires this many distinct abscissae per model parameter —
-#: degenerate geometries (heavily duplicated x) condition the normal
-#: equations badly and stay on the exact path.
-_AUTO_DISTINCT_FACTOR = 8
-
-#: Per-fit memo-cache bound (rounded-tuple LRU).
-_SEARCH_CACHE_MAX = 8192
-
-
-class _SearchScorer:
-    """Candidate-configuration evaluator behind the breakpoint search.
-
-    Resolves ``PWLRConfig.search_kernel`` to the grid evaluator
-    ("moments": batched prefix-moment solves; "exact": per-candidate
-    dense lstsq), memoizes repeated configurations across refinement
-    passes (rounded-tuple LRU), and accumulates the evaluation count
-    flushed once per fit to ``pwlr.candidate_evaluations`` — requested
-    evaluations count whether or not the cache absorbs them, so the
-    counter is kernel- and cache-independent.
-
-    Continuous (off-grid) refinement evaluates through
-    :meth:`fit_continuous`, which always uses the shared moments profile
-    with its deterministic exact escape — *regardless of the kernel* —
-    so the scalar minimizer sees bit-identical objective values under
-    either kernel.  Grid stages are pure comparisons and the final fit
-    is always exact, which together make the two kernels select
-    identical breakpoints and serialize byte-identical results.
+    Every configuration is scored on one :class:`MomentProfile` of the
+    series, in batches through :meth:`MomentProfile.evaluate_many`; the
+    search ranks the returned SSE arrays and never builds a model for a
+    candidate.  A row the profile flags unreliable (near-interpolating,
+    singular or non-finite) is re-scored by the dense unconstrained fit,
+    so cancellation noise never decides a comparison.  ``n_evals`` and
+    ``n_exact_escapes`` accumulate locally and are flushed to the
+    metrics registry once per fit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, cfg: "PWLRConfig") -> None:
         self.x = x
         self.y = y
         self.cfg = cfg
-        self.n = int(x.size)
-        self.kernel = self._resolve_kernel(cfg, x, y)
         self.n_evals = 0
-        self.n_cache_hits = 0
         self.n_exact_escapes = 0
-        self._cache: "OrderedDict[tuple, PiecewiseLinearModel]" = OrderedDict()
-        try:
-            self._profile: Optional[MomentProfile] = MomentProfile(
-                x, y, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
-            )
-        except FittingError:
-            self._profile = None
-
-    @staticmethod
-    def _resolve_kernel(cfg: "PWLRConfig", x: np.ndarray, y: np.ndarray) -> str:
-        if cfg.search_kernel != "auto":
-            return cfg.search_kernel
-        if x.size < _AUTO_MIN_POINTS:
-            return "exact"
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            return "exact"
-        if np.unique(x).size < _AUTO_DISTINCT_FACTOR * (cfg.max_breakpoints + 2):
-            return "exact"
-        return "moments"
-
-    # -- public evaluation API -----------------------------------------
-    def fit_one(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        """Evaluate one configuration with the kernel-selected evaluator."""
-        return self.fit_many([list(breaks)])[0]
-
-    def fit_many(
-        self, configs: Sequence[Sequence[float]]
-    ) -> List[PiecewiseLinearModel]:
-        """Evaluate a batch of configurations (kernel evaluator)."""
-        return self._evaluate(configs, self.kernel)
-
-    def fit_continuous(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        """Evaluate one off-grid configuration on the shared moments
-        profile (kernel-independent; exact escape when unreliable)."""
-        return self._evaluate([list(breaks)], "moments")[0]
-
-    # -- internals ------------------------------------------------------
-    def _evaluate(
-        self, configs: Sequence[Sequence[float]], domain: str
-    ) -> List[PiecewiseLinearModel]:
-        self.n_evals += len(configs)
-        models: List[Optional[PiecewiseLinearModel]] = [None] * len(configs)
-        keys: List[tuple] = []
-        missing: List[int] = []
-        for i, breaks in enumerate(configs):
-            key = (domain, tuple(round(float(b), 12) for b in breaks))
-            keys.append(key)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.n_cache_hits += 1
-                self._cache.move_to_end(key)
-                models[i] = hit
-            else:
-                missing.append(i)
-        if missing:
-            if domain == "moments":
-                fresh = self._eval_moments([configs[i] for i in missing])
-            else:
-                fresh = [self._eval_exact(configs[i]) for i in missing]
-            for i, model in zip(missing, fresh):
-                models[i] = model
-                self._cache[keys[i]] = model
-                if len(self._cache) > _SEARCH_CACHE_MAX:
-                    self._cache.popitem(last=False)
-        return models  # type: ignore[return-value]
-
-    def _eval_exact(self, breaks: Sequence[float]) -> PiecewiseLinearModel:
-        # Rank with the unconstrained solver: orders of magnitude faster
-        # than NNLS and equally good at *ranking* configurations by SSE.
-        return fit_fixed_breakpoints(
-            self.x,
-            self.y,
-            breaks,
-            anchor=self.cfg.anchor,
-            anchor_weight=self.cfg.anchor_weight,
-            monotone=False,
+        self._profile = MomentProfile(
+            x, y, anchor=cfg.anchor, anchor_weight=cfg.anchor_weight
         )
 
-    def _eval_moments(
-        self, configs: Sequence[Sequence[float]]
-    ) -> List[PiecewiseLinearModel]:
-        if self._profile is None:
-            self.n_exact_escapes += len(configs)
-            return [self._eval_exact(b) for b in configs]
-        models: List[Optional[PiecewiseLinearModel]] = [None] * len(configs)
-        by_len: Dict[int, List[int]] = {}
-        for i, breaks in enumerate(configs):
-            by_len.setdefault(len(breaks), []).append(i)
-        for length, idxs in by_len.items():
-            bp = np.asarray(
-                [configs[i] for i in idxs], dtype=float
-            ).reshape(len(idxs), length)
-            coeffs, sse, ok = self._profile.evaluate_many(bp)
-            for row, i in enumerate(idxs):
-                if ok[row]:
-                    models[i] = PiecewiseLinearModel(
-                        breakpoints=np.asarray(configs[i], dtype=float),
-                        slopes=coeffs[row, 1:].copy(),
-                        intercept=float(coeffs[row, 0]),
-                        sse=float(sse[row]),
-                        n_points=self.n,
-                    )
-                else:
-                    # Precision escape: near-interpolating or singular
-                    # configurations re-rank through the dense path so
-                    # cancellation noise never decides a comparison.
-                    self.n_exact_escapes += 1
-                    models[i] = self._eval_exact(configs[i])
-        return models  # type: ignore[return-value]
+    def sse_many(self, configs: Sequence[Sequence[float]]) -> np.ndarray:
+        """Data SSE of each configuration; all rows have one length."""
+        self.n_evals += len(configs)
+        bp = np.asarray(configs, dtype=float).reshape(len(configs), -1)
+        _, sse, ok = self._profile.evaluate_many(bp)
+        for row in np.flatnonzero(~ok):
+            self.n_exact_escapes += 1
+            sse[row] = fit_fixed_breakpoints(
+                self.x,
+                self.y,
+                bp[row],
+                anchor=self.cfg.anchor,
+                anchor_weight=self.cfg.anchor_weight,
+                monotone=False,
+            ).sse
+        return sse
+
+    def sse_one(self, breaks: Sequence[float]) -> float:
+        """Data SSE of one configuration."""
+        return float(self.sse_many([list(breaks)])[0])
 
 
 # ----------------------------------------------------------------------
@@ -531,13 +404,11 @@ def fit_pwlr(
     if x.size < 8:
         raise FittingError(f"need at least 8 points for the search, got {x.size}")
     with _span("fit_pwlr", n_points=int(x.size)) as rec:
-        model, scorer = _fit_pwlr_impl(x, y, cfg)
+        model, evaluator = _fit_pwlr_impl(x, y, cfg)
     _metric_counter("pwlr.fits").inc()
-    _metric_counter("pwlr.candidate_evaluations").inc(scorer.n_evals)
-    _metric_counter(f"pwlr.kernel.{scorer.kernel}").inc()
-    _metric_counter("pwlr.search_cache_hits").inc(scorer.n_cache_hits)
-    if scorer.n_exact_escapes:
-        _metric_counter("pwlr.search_exact_escapes").inc(scorer.n_exact_escapes)
+    _metric_counter("pwlr.candidate_evaluations").inc(evaluator.n_evals)
+    if evaluator.n_exact_escapes:
+        _metric_counter("pwlr.search_exact_escapes").inc(evaluator.n_exact_escapes)
     if rec is not None:
         _metric_histogram("pwlr.fit_seconds").observe(rec.wall_s)
     return model
@@ -545,13 +416,9 @@ def fit_pwlr(
 
 def _fit_pwlr_impl(
     x: np.ndarray, y: np.ndarray, cfg: "PWLRConfig"
-) -> Tuple[PiecewiseLinearModel, _SearchScorer]:
+) -> Tuple[PiecewiseLinearModel, _SearchEvaluator]:
     grid = np.linspace(cfg.min_separation, 1.0 - cfg.min_separation, cfg.n_candidates)
-    # The scorer owns the kernel choice, the per-fit memo cache and the
-    # evaluation count, which is accumulated locally and flushed to the
-    # metrics registry once per fit: the search evaluates thousands of
-    # configurations and must not pay a context lookup per call.
-    scorer = _SearchScorer(x, y, cfg)
+    evaluator = _SearchEvaluator(x, y, cfg)
 
     def final_fit(breaks: Sequence[float]) -> PiecewiseLinearModel:
         return fit_fixed_breakpoints(
@@ -563,30 +430,35 @@ def _fit_pwlr_impl(
             monotone=cfg.monotone,
         )
 
+    def bic(sse: float, n_breaks: int) -> float:
+        # Free parameters: intercept + slopes + breakpoint positions.
+        return model_selection.bic(sse, int(x.size), 2 + 2 * n_breaks)
+
     current: List[float] = []
-    model = scorer.fit_one(current)
     best_breaks: List[float] = []
-    best_bic = model_selection.bic(model.sse, model.n_points, _n_params(model))
+    best_bic = bic(evaluator.sse_one(current), 0)
     worsening = 0
 
     while len(current) < cfg.max_breakpoints:
-        addition = _best_addition(scorer, current, grid, cfg.min_separation)
+        with _span("pwlr.add", n_breaks=len(current)):
+            addition = _best_addition(evaluator, current, grid, cfg.min_separation)
         if addition is None:
             break
-        current, model = addition
-        for _ in range(cfg.refine_passes):
-            current, model = _refine_positions(
-                scorer, current, model, grid, cfg.min_separation
-            )
+        current, sse = addition
+        with _span("pwlr.window_refine", n_breaks=len(current)):
+            for _ in range(cfg.refine_passes):
+                current, sse = _refine_positions(
+                    evaluator, current, sse, grid, cfg.min_separation
+                )
         # Refine positions off-grid before judging this k: BIC must compare
         # each breakpoint count at its best achievable positions, not at
         # grid-quantized ones (a sharp knee between grid points otherwise
         # makes k+2 staircases look better than the true k).
-        current = _continuous_refine(
-            scorer.fit_continuous, current, cfg.min_separation, passes=1
-        )
-        model = scorer.fit_one(current)
-        candidate_bic = model_selection.bic(model.sse, model.n_points, _n_params(model))
+        with _span("pwlr.continuous_refine", n_breaks=len(current)):
+            current = _continuous_refine(
+                evaluator.sse_one, current, cfg.min_separation, passes=1
+            )
+        candidate_bic = bic(evaluator.sse_one(current), len(current))
         if candidate_bic < best_bic:
             best_bic = candidate_bic
             best_breaks = list(current)
@@ -600,66 +472,75 @@ def _fit_pwlr_impl(
     # with sharp knees that quantization splits one true boundary into two
     # neighboring grid points.  A bounded 1-D minimization per breakpoint
     # recovers the exact position (exact on noiseless data).
-    best_breaks = _continuous_refine(
-        scorer.fit_continuous, best_breaks, cfg.min_separation
-    )
+    with _span("pwlr.continuous_refine", n_breaks=len(best_breaks)):
+        best_breaks = _continuous_refine(
+            evaluator.sse_one, best_breaks, cfg.min_separation
+        )
 
-    best_model = final_fit(best_breaks)
-    while True:
-        before = best_model.breakpoints.size
-        if cfg.merge_slope_tol > 0 and best_model.breakpoints.size:
-            merged_breaks = model_selection.merge_insignificant(
-                best_model, tol=cfg.merge_slope_tol
-            )
-            if merged_breaks.size < best_model.breakpoints.size:
-                best_model = final_fit(list(merged_breaks))
-        if cfg.min_phase_span > 0 and best_model.breakpoints.size:
-            cleaned = _drop_narrowest_sliver(best_model, cfg.min_phase_span)
-            if cleaned is not None:
-                best_model = final_fit(cleaned)
-        if best_model.breakpoints.size == before:
-            break
-    return best_model, scorer
+    with _span("pwlr.final_fit", n_breaks=len(best_breaks)):
+        best_model = final_fit(best_breaks)
+    with _span("pwlr.merge", n_breaks=len(best_breaks)):
+        while True:
+            before = best_model.breakpoints.size
+            if cfg.merge_slope_tol > 0 and best_model.breakpoints.size:
+                merged_breaks = model_selection.merge_insignificant(
+                    best_model, tol=cfg.merge_slope_tol
+                )
+                if merged_breaks.size < best_model.breakpoints.size:
+                    best_model = final_fit(list(merged_breaks))
+            if cfg.min_phase_span > 0 and best_model.breakpoints.size:
+                cleaned = _drop_narrowest_sliver(best_model, cfg.min_phase_span)
+                if cleaned is not None:
+                    best_model = final_fit(cleaned)
+            if best_model.breakpoints.size == before:
+                break
+    return best_model, evaluator
 
 
-def _n_params(model: PiecewiseLinearModel) -> int:
-    """Free parameters: intercept + slopes + breakpoint positions."""
-    return 1 + model.n_segments + model.breakpoints.size
+def _addition_trials(
+    current: List[float], grid: np.ndarray, min_sep: float
+) -> List[List[float]]:
+    """Every configuration ``current`` plus one grid candidate at least
+    ``min_sep`` away from each existing breakpoint, in grid order."""
+    return [
+        sorted(current + [float(candidate)])
+        for candidate in grid
+        if not any(abs(candidate - b) < min_sep for b in current)
+    ]
 
 
 def _best_addition(
-    scorer: _SearchScorer, current: List[float], grid: np.ndarray, min_sep: float
-):
+    evaluator: _SearchEvaluator,
+    current: List[float],
+    grid: np.ndarray,
+    min_sep: float,
+) -> Optional[Tuple[List[float], float]]:
     """Score every candidate insertion in one batch; return the
-    ``(breaks, model)`` of the best one (first wins on ties)."""
-    trials: List[List[float]] = []
-    for candidate in grid:
-        if any(abs(candidate - b) < min_sep for b in current):
-            continue
-        trials.append(sorted(current + [float(candidate)]))
+    ``(breaks, sse)`` of the best one (first wins on ties, NaN never)."""
+    trials = _addition_trials(current, grid, min_sep)
     if not trials:
         return None
-    best = None
-    best_sse = np.inf
-    for trial_breaks, trial in zip(trials, scorer.fit_many(trials)):
-        if trial.sse < best_sse:
-            best_sse = trial.sse
-            best = (trial_breaks, trial)
-    return best
+    sse = evaluator.sse_many(trials)
+    ranked = np.where(sse < np.inf, sse, np.inf)
+    best = int(np.argmin(ranked))
+    if not ranked[best] < np.inf:
+        return None
+    return trials[best], float(sse[best])
 
 
 def _refine_positions(
-    scorer: _SearchScorer,
+    evaluator: _SearchEvaluator,
     current: List[float],
-    model: PiecewiseLinearModel,
+    sse: float,
     grid: np.ndarray,
     min_sep: float,
     window: int = 5,
-):
+) -> Tuple[List[float], float]:
     """Coordinate descent on breakpoint positions, ``window`` grid steps
-    wide; each breakpoint's window is scored as one batch."""
+    wide; each breakpoint's window is scored as one batch and a position
+    is taken only if it beats the running best by more than 1e-15."""
     breaks = list(current)
-    best_model = model
+    best_sse = sse
     for i in range(len(breaks)):
         others = breaks[:i] + breaks[i + 1 :]
         anchor_idx = int(np.argmin(np.abs(grid - breaks[i])))
@@ -674,17 +555,17 @@ def _refine_positions(
             trials.append(sorted(others + [float(candidate)]))
         best_pos = breaks[i]
         if trials:
-            for position, trial in zip(positions, scorer.fit_many(trials)):
-                if trial.sse < best_model.sse - 1e-15:
-                    best_model = trial
+            for position, trial_sse in zip(positions, evaluator.sse_many(trials)):
+                if trial_sse < best_sse - 1e-15:
+                    best_sse = float(trial_sse)
                     best_pos = position
         breaks[i] = best_pos
         breaks.sort()
-    return breaks, best_model
+    return breaks, best_sse
 
 
 def _continuous_refine(
-    fit_at,
+    sse_at,
     breaks: List[float],
     min_sep: float,
     passes: int = 2,
@@ -692,10 +573,10 @@ def _continuous_refine(
 ) -> List[float]:
     """Coordinate descent with continuous (off-grid) breakpoint positions.
 
-    ``objective(breaks[i])`` is the SSE of the *whole current
-    configuration* — the same value for every ``i`` — so it is computed
+    ``sse_at(breaks)`` is the SSE of a whole configuration, so the value
+    at the current position is the same for every ``i``: it is computed
     once up front and carried across accepted moves instead of being
-    re-fit after every minimizer call.
+    re-scored after every minimizer call.
     """
     breaks = sorted(float(b) for b in breaks)
     if not breaks:
@@ -710,7 +591,7 @@ def _continuous_refine(
             others = breaks[:i] + breaks[i + 1 :]
 
             def objective(position: float) -> float:
-                return fit_at(sorted(others + [float(position)])).sse
+                return sse_at(sorted(others + [float(position)]))
 
             if current_sse is None:
                 current_sse = objective(breaks[i])

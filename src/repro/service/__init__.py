@@ -38,8 +38,6 @@ from repro.service.perf import (
     StageVerdict,
     check_history,
     fit_duration_series,
-    kernel_history,
-    kernel_shift_note,
     stage_series,
 )
 from repro.service.query import DiffReport, PhaseDelta, diff_results, diff_stored
@@ -69,7 +67,5 @@ __all__ = [
     "StageVerdict",
     "check_history",
     "fit_duration_series",
-    "kernel_history",
-    "kernel_shift_note",
     "stage_series",
 ]

@@ -16,9 +16,8 @@ threshold.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "stage_series",
     "fit_duration_series",
     "segment_levels",
-    "kernel_history",
-    "kernel_shift_note",
     "check_history",
 ]
 
@@ -76,70 +73,6 @@ def stage_series(
     if not series[TOTAL_STAGE]:
         del series[TOTAL_STAGE]
     return series
-
-
-def kernel_history(records: Sequence[Mapping[str, object]]) -> List[str]:
-    """Per-record PWLR search-kernel label from the ledger's metrics
-    snapshot: ``"moments"``, ``"exact"``, ``"mixed"`` (a run whose fits
-    used both, e.g. "auto" resolving differently per cluster), or
-    ``"-"`` when the record predates the kernel counters.
-    """
-    labels: List[str] = []
-    for record in records:
-        metrics = record.get("metrics")
-        moments = exact = 0.0
-        if isinstance(metrics, Mapping):
-            m = metrics.get("pwlr.kernel.moments", 0)
-            e = metrics.get("pwlr.kernel.exact", 0)
-            moments = float(m) if isinstance(m, (int, float)) else 0.0
-            exact = float(e) if isinstance(e, (int, float)) else 0.0
-        if moments and exact:
-            labels.append("mixed")
-        elif moments:
-            labels.append("moments")
-        elif exact:
-            labels.append("exact")
-        else:
-            labels.append("-")
-    return labels
-
-
-def _kernel_transition(labels: Sequence[str]) -> Optional[Tuple[int, str, str]]:
-    """``(run_index, old, new)`` of the first kernel change (1-based,
-    ignoring unlabeled runs), or ``None`` when the history is uniform."""
-    prev: Optional[str] = None
-    for i, label in enumerate(labels, 1):
-        if label == "-":
-            continue
-        if prev is not None and label != prev:
-            return i, prev, label
-        prev = label
-    return None
-
-
-def kernel_shift_note(records: Sequence[Mapping[str, object]]) -> str:
-    """One-line kernel attribution for ``repro perf history``: which
-    search kernel the recorded runs used, and where it changed — the
-    first thing to rule out when a fit-stage level shift appears."""
-    labels = kernel_history(records)
-    seen = [label for label in labels if label != "-"]
-    if not seen:
-        return ""
-    if len(set(seen)) == 1:
-        return f"pwlr search kernel: {seen[0]} for all {len(seen)} run(s)"
-    parts: List[str] = []
-    current: Optional[str] = None
-    start = last = 0
-    for i, label in enumerate(labels, 1):
-        if label == "-":
-            continue
-        if label != current:
-            if current is not None:
-                parts.append(f"{current} (runs {start}-{last})")
-            current, start = label, i
-        last = i
-    parts.append(f"{current} (runs {start}-{last})")
-    return "pwlr search kernel: " + ", ".join(parts)
 
 
 def fit_duration_series(durations: Sequence[float]):
@@ -317,19 +250,6 @@ def check_history(
         _verdict_for(stage, durations, threshold, min_runs)
         for stage, durations in series.items()
     ]
-    # A fit-stage level shift that coincides with a search-kernel change
-    # is attributable to the kernel, not the workload — surface that on
-    # the verdict so the gate's output explains itself.
-    transition = _kernel_transition(kernel_history(records))
-    if transition is not None:
-        run, old, new = transition
-        tag = f"search kernel {old}->{new} at run {run}"
-        verdicts = [
-            dataclasses.replace(v, note=f"{v.note}; {tag}" if v.note else tag)
-            if "fit" in v.stage
-            else v
-            for v in verdicts
-        ]
     verdicts.sort(key=lambda v: (not v.regressed, v.stage))
     return PerfReport(
         verdicts=verdicts, threshold=threshold, n_records=len(records)

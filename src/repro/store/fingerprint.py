@@ -6,11 +6,14 @@ digest is a safe cache key.  A few knobs are excluded from the
 fingerprint because they provably cannot change the result, only how it
 is computed or narrated: ``n_jobs`` (the parallel path is
 bit-deterministic vs serial), ``profile`` and ``progress_every``
-(observability only), and ``pwlr.search_kernel`` (the moments and exact
-kernels select identical breakpoints — enforced by the ``pwlr_kernel``
-selftest suite — and the final fit is always the exact path).  A
-parallel or moments-kernel re-analysis therefore hits the cache entry a
-serial/exact run populated.
+(observability only).  A parallel re-analysis therefore hits the cache
+entry a serial run populated.
+
+Stored configs written before the PWLR search had a single evaluator
+carry a ``pwlr.search_kernel`` field.  That knob only chose between two
+rankings that selected identical breakpoints, was never part of the
+fingerprint, and is dropped on read, so those configs still load and
+their store entries stay valid.
 
 Trace identity is the file's *bytes* (streamed SHA-256), not the parsed
 records: two files that parse identically but differ textually get
@@ -46,8 +49,8 @@ FINGERPRINT_FORMAT = "repro-fp/1"
 #: AnalyzerConfig fields that cannot affect analysis output.
 _NON_SEMANTIC_FIELDS = ("n_jobs", "profile", "progress_every")
 
-#: Nested PWLRConfig fields that cannot affect analysis output.
-_NON_SEMANTIC_PWLR_FIELDS = ("search_kernel",)
+#: Retired PWLRConfig fields that stored configs may still carry.
+_RETIRED_PWLR_FIELDS = ("search_kernel",)
 
 _READ_CHUNK = 1 << 20
 
@@ -73,6 +76,9 @@ def config_from_dict(data: Mapping[str, Any]) -> AnalyzerConfig:
     if payload.get("counters") is not None:
         payload["counters"] = tuple(str(c) for c in payload["counters"])
     if "pwlr" in payload and isinstance(payload["pwlr"], Mapping):
+        payload["pwlr"] = {
+            k: v for k, v in payload["pwlr"].items() if k not in _RETIRED_PWLR_FIELDS
+        }
         pwlr_known = {f.name for f in dataclasses.fields(PWLRConfig)}
         pwlr_unknown = set(payload["pwlr"]) - pwlr_known
         if pwlr_unknown:
@@ -88,9 +94,6 @@ def config_fingerprint_dict(config: AnalyzerConfig) -> Dict[str, Any]:
     out = config_to_dict(config)
     for name in _NON_SEMANTIC_FIELDS:
         out.pop(name, None)
-    if isinstance(out.get("pwlr"), dict):
-        for name in _NON_SEMANTIC_PWLR_FIELDS:
-            out["pwlr"].pop(name, None)
     return out
 
 

@@ -38,7 +38,7 @@ from repro.clustering.bursts import BurstSet, ComputationBurst
 from repro.errors import FittingError, FoldingError, PhaseError, StreamError
 from repro.folding.fold import fold_cluster
 from repro.folding.instances import select_instances
-from repro.observability.context import DISABLED, gauge, publish
+from repro.observability.context import DISABLED, gauge, publish, span
 from repro.phases.detect import detect_phases
 from repro.store import config_from_dict, config_to_dict
 from repro.stream.assembly import (
@@ -385,72 +385,72 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def _refit_cluster(self, cid: int) -> None:
         # Live refits run the batch detect_phases under cfg.pwlr, so they
-        # inherit AnalyzerConfig.pwlr.search_kernel: long watches over
-        # growing reservoirs get the n-independent moments search for
-        # free (under "auto", once the folded series is large enough).
-        state = self.clusters[cid]
-        state.n_since_refit = 0
-        bursts = self.reservoirs[cid].items
-        cfg = self.config.analyzer
-        try:
-            instances = select_instances(
-                BurstSet(list(bursts)),
-                np.full(len(bursts), cid),
-                cid,
-                prune_outliers=cfg.prune_outliers,
-                iqr_factor=cfg.iqr_factor,
-                min_instances=cfg.min_instances,
-            )
-            counters = list(cfg.counters) if cfg.counters else sorted(
-                {name for b in bursts for name in b.end_counters}
-            )
-            if cfg.pivot not in counters:
-                counters.append(cfg.pivot)
-            folded = fold_cluster(
-                instances,
-                counters,
-                min_points=cfg.min_folded_points,
-                required=[cfg.pivot],
-            )
-            phases = detect_phases(
-                folded,
-                cluster_id=cid,
-                pivot=cfg.pivot,
-                config=cfg.pwlr,
-                allow_fallback=cfg.degraded_mode,
-            )
-        except (FoldingError, FittingError, PhaseError):
-            state.n_refit_failures += 1
-            return
-        state.n_refits += 1
-        self.n_refits += 1
-        n_phases = len(phases)
-        slopes = phases.pivot_model.slopes
-        mean_slope = float(np.mean(np.abs(slopes))) if slopes.size else 0.0
-        if state.n_phases is not None and n_phases != state.n_phases:
-            self.n_phase_changes += 1
-            publish(
-                "stream_phase_change",
-                label=f"cluster-{cid}",
-                cluster=cid,
-                n_phases_before=state.n_phases,
-                n_phases_after=n_phases,
-                n_instances=len(instances),
-            )
-        elif state.mean_slope is not None and state.mean_slope > 0 and mean_slope > 0:
-            ratio = max(mean_slope / state.mean_slope, state.mean_slope / mean_slope)
-            if ratio > self.config.slope_shift_factor:
-                self.n_drift_events += 1
+        # share the batch search: every candidate is ranked on the
+        # n-independent moments evaluator, whatever the reservoir size.
+        with span("stream.refit", cluster=cid):
+            state = self.clusters[cid]
+            state.n_since_refit = 0
+            bursts = self.reservoirs[cid].items
+            cfg = self.config.analyzer
+            try:
+                instances = select_instances(
+                    BurstSet(list(bursts)),
+                    np.full(len(bursts), cid),
+                    cid,
+                    prune_outliers=cfg.prune_outliers,
+                    iqr_factor=cfg.iqr_factor,
+                    min_instances=cfg.min_instances,
+                )
+                counters = list(cfg.counters) if cfg.counters else sorted(
+                    {name for b in bursts for name in b.end_counters}
+                )
+                if cfg.pivot not in counters:
+                    counters.append(cfg.pivot)
+                folded = fold_cluster(
+                    instances,
+                    counters,
+                    min_points=cfg.min_folded_points,
+                    required=[cfg.pivot],
+                )
+                phases = detect_phases(
+                    folded,
+                    cluster_id=cid,
+                    pivot=cfg.pivot,
+                    config=cfg.pwlr,
+                    allow_fallback=cfg.degraded_mode,
+                )
+            except (FoldingError, FittingError, PhaseError):
+                state.n_refit_failures += 1
+                return
+            state.n_refits += 1
+            self.n_refits += 1
+            n_phases = len(phases)
+            slopes = phases.pivot_model.slopes
+            mean_slope = float(np.mean(np.abs(slopes))) if slopes.size else 0.0
+            if state.n_phases is not None and n_phases != state.n_phases:
+                self.n_phase_changes += 1
                 publish(
-                    "stream_drift",
+                    "stream_phase_change",
                     label=f"cluster-{cid}",
                     cluster=cid,
-                    slope_ratio=round(ratio, 4),
-                    threshold=self.config.slope_shift_factor,
+                    n_phases_before=state.n_phases,
+                    n_phases_after=n_phases,
+                    n_instances=len(instances),
                 )
-        state.n_phases = n_phases
-        state.mean_slope = mean_slope
-        gauge(f"stream.live.phases.cluster{cid}").set(n_phases)
+            elif state.mean_slope is not None and state.mean_slope > 0 and mean_slope > 0:
+                ratio = max(mean_slope / state.mean_slope, state.mean_slope / mean_slope)
+                if ratio > self.config.slope_shift_factor:
+                    self.n_drift_events += 1
+                    publish(
+                        "stream_drift",
+                        label=f"cluster-{cid}",
+                        cluster=cid,
+                        slope_ratio=round(ratio, 4),
+                        threshold=self.config.slope_shift_factor,
+                    )
+            state.n_phases = n_phases
+            state.mean_slope = mean_slope
+            gauge(f"stream.live.phases.cluster{cid}").set(n_phases)
 
     # ------------------------------------------------------------------
     # telemetry

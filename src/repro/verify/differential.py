@@ -386,68 +386,68 @@ def _suite_pwlr_lstsq(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     return len(cases), out
 
 
-@_suite("pwlr_kernel")
-def _suite_pwlr_kernel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
-    """Moments search kernel vs the exact dense kernel.
+@_suite("pwlr_search")
+def _suite_pwlr_search(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
+    """Moments SSE ranking vs the dense least-squares oracle, step by step.
 
-    The moments kernel only *ranks* candidate configurations, continuous
-    refinement always runs on the shared moments profile, and the final
-    fit is always the exact path — so both kernels must select identical
-    breakpoints and produce bit-identical models on every corpus case,
-    and a full pipeline run must serialize byte-identical result JSON
-    under either kernel (the precondition for excluding
-    ``pwlr.search_kernel`` from store fingerprints).
+    ``fit_pwlr`` ranks every grid insertion on the moments SSE array.  At
+    each greedy step of the real search on every corpus case, the scalar
+    normal-equations oracle scores the same trials (unconstrained, as the
+    search ranks them) and its argmin must be the configuration the search
+    picked.  Two picks whose oracle SSEs differ by at most 1e-12 * sum(y^2)
+    are a tie below the roundoff of either evaluator and agree.  Trials
+    whose normal equations are singular (a segment holding no data) are
+    outside the oracle's domain and are left out of its ranking; a step
+    whose pick is such a trial cannot be judged and is skipped.
     """
-    import dataclasses
+    from unittest import mock
 
-    from repro.analysis.pipeline import AnalyzerConfig, FoldingAnalyzer
-    from repro.fitting.pwlr import PWLRConfig, fit_pwlr
-    from repro.store.serialize import result_to_json
-    from repro.trace.reader import read_trace
+    from repro.errors import VerificationError
+    from repro.fitting import pwlr
     from repro.verify.corpus import pwl_datasets
+    from repro.verify.oracles import oracle_fit_fixed_breakpoints
 
     out: List[Divergence] = []
     cases = pwl_datasets(ctx.seed, ctx.full)
     for case in cases:
-        models = {}
-        for kernel in ("moments", "exact"):
-            cfg = PWLRConfig(
-                anchor=case.anchor, monotone=case.monotone, search_kernel=kernel
-            )
-            models[kernel] = fit_pwlr(case.x, case.y, config=cfg)
-        got, want = models["moments"], models["exact"]
-        for label, a, b in (
-            ("breakpoints", got.breakpoints, want.breakpoints),
-            ("slopes", got.slopes, want.slopes),
-            ("intercept", got.intercept, want.intercept),
-            ("sse", got.sse, want.sse),
-        ):
-            d = _compare_arrays("pwlr_kernel", case.name, ctx.seed, label, a, b)
-            if d:
-                out.append(d)
-    n_cases = len(cases)
+        steps: List[Tuple[List[float], np.ndarray, float, List[float]]] = []
+        search_step = pwlr._best_addition
 
-    # End-to-end: full-pipeline result JSON must be byte-identical
-    # between kernels (and under "auto", which resolves to one of them).
-    for path in ctx.trace_paths():
-        n_cases += 1
-        trace = read_trace(path)
-        rendered = {}
-        for kernel in ("moments", "exact", "auto"):
-            cfg = AnalyzerConfig(
-                pwlr=dataclasses.replace(PWLRConfig(), search_kernel=kernel)
-            )
-            rendered[kernel] = result_to_json(FoldingAnalyzer(cfg).analyze(trace))
-        name = os.path.basename(path)
-        for kernel in ("exact", "auto"):
-            if rendered["moments"] != rendered[kernel]:
+        def recording_step(evaluator, current, grid, min_sep):
+            picked = search_step(evaluator, current, grid, min_sep)
+            if picked is not None:
+                steps.append((list(current), grid, min_sep, picked[0]))
+            return picked
+
+        cfg = pwlr.PWLRConfig(anchor=case.anchor, monotone=case.monotone)
+        with mock.patch.object(pwlr, "_best_addition", recording_step):
+            pwlr.fit_pwlr(case.x, case.y, config=cfg)
+        tie = 1e-12 * float(np.dot(case.y, case.y))
+        for current, grid, min_sep, picked in steps:
+            trials = pwlr._addition_trials(current, grid, min_sep)
+            oracle_sse = np.full(len(trials), np.inf)
+            for i, trial in enumerate(trials):
+                try:
+                    oracle_sse[i] = oracle_fit_fixed_breakpoints(
+                        case.x, case.y, trial, anchor=case.anchor, monotone=False
+                    )[2]
+                except VerificationError:
+                    continue
+            pick = trials.index(picked)
+            if not np.isfinite(oracle_sse[pick]):
+                continue
+            best = int(np.argmin(oracle_sse))
+            if oracle_sse[pick] - oracle_sse[best] > tie:
                 out.append(
                     Divergence(
-                        "pwlr_kernel", name, ctx.seed,
-                        f"result JSON differs: moments vs {kernel}",
+                        "pwlr_search", case.name, ctx.seed,
+                        f"step {len(current)}: search picked {picked} "
+                        f"(oracle SSE {float(oracle_sse[pick])!r}), oracle "
+                        f"argmin {trials[best]} (SSE {float(oracle_sse[best])!r})",
+                        max_abs_delta=float(oracle_sse[pick] - oracle_sse[best]),
                     )
                 )
-    return n_cases, out
+    return len(cases), out
 
 
 @_suite("predict")

@@ -79,8 +79,8 @@ def _suite_meta_fold(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     # scores candidates from prefix-sum moments (repro.fitting.moments),
     # whose accumulated roundoff widens the flat valley around near-tied
     # candidates, so a flipped choice can move predictions by a few 1e-3
-    # on adversarial corpora (observed ~3e-3); the selection itself stays
-    # kernel-independent (the pwlr_kernel suite pins that byte-exactly).
+    # on adversarial corpora (observed ~3e-3); the pwlr_search suite
+    # checks each greedy pick against the dense least-squares oracle.
     transforms = [
         (0.0, 4.0, True),
         (0.0, 0.25, True),

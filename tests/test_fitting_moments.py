@@ -1,7 +1,9 @@
-"""Moments search kernel: property tests, degenerate-geometry fallback,
-kernel equivalence, memoization and the batched multi-counter refit."""
+"""Moments search evaluator: property tests, degenerate-geometry escapes,
+equivalence with the retired dense ranking, the search golden, and the
+batched multi-counter refit."""
 
-import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from repro.errors import FittingError
 from repro.fitting.moments import MomentProfile
 from repro.fitting.pwlr import (
     PWLRConfig,
-    _SearchScorer,
-    fit_fixed_breakpoints,
     fit_pwlr,
     refit_slopes,
     refit_slopes_many,
 )
 from repro.observability.context import Observability
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 # ----------------------------------------------------------------------
@@ -136,121 +138,180 @@ class TestMomentProfileMath:
             )
 
 
+def _fit_hex(model):
+    return {
+        "breakpoints": [float(b).hex() for b in model.breakpoints],
+        "slopes": [float(v).hex() for v in model.slopes],
+        "intercept": float(model.intercept).hex(),
+        "sse": float(model.sse).hex(),
+    }
+
+
+def _search_counters(x, y, cfg=None):
+    obs = Observability(collect_rss=False)
+    with obs.activate():
+        model = fit_pwlr(x, y, cfg)
+    return model, obs.metrics.snapshot()
+
+
+def _three_phase_series(n):
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    knots = np.array([0.0, 0.3, 0.7, 1.0])
+    slopes = np.array([0.5, 2.0, 0.8])
+    vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, 2)
+    y = vals[idx] + slopes[idx] * (x - knots[idx]) + rng.normal(0, 0.01, n)
+    return x, y
+
+
 class TestKernelSelection:
+    """There is one search evaluator: every candidate is ranked on the
+    moments SSE array, and only unreliable rows escape to the dense fit."""
+
     def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(FittingError):
-            PWLRConfig(search_kernel="fast")
+        for kernel in ("auto", "moments", "exact"):
+            with pytest.raises(TypeError):
+                PWLRConfig(search_kernel=kernel)
 
-    def test_auto_small_series_uses_exact(self):
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_series_ranks_on_moments(self, n):
         rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(0, 1, 200))
-        y = x + rng.normal(0, 0.01, 200)
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
+        x = np.sort(rng.uniform(0, 1, n))
+        y = x + rng.normal(0, 0.01, n)
+        _, snap = _search_counters(x, y)
+        assert snap["pwlr.candidate_evaluations"] > 0
+        assert "pwlr.search_exact_escapes" not in snap
 
-    def test_auto_large_series_uses_moments(self):
-        rng = np.random.default_rng(0)
-        x = np.sort(rng.uniform(0, 1, 2000))
-        y = x + rng.normal(0, 0.01, 2000)
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "moments"
-
-    def test_auto_degenerate_duplicate_x_falls_back_to_exact(self):
-        """n is large enough for moments, but only 30 distinct abscissae
-        — "auto" must stay on the exact path (and say so in metrics)."""
+    def test_duplicate_x_ranks_on_moments(self):
+        """Only 30 distinct abscissae: the moments rows stay reliable, so
+        nothing escapes and the fit is the one the dense ranking chose
+        (evaluation count recorded from the dense-ranked search)."""
         rng = np.random.default_rng(1)
         x = np.repeat(np.linspace(0.0, 1.0, 30), 20)
         y = x + rng.normal(0, 0.01, x.size)
-        assert x.size >= 512
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
-        obs = Observability(collect_rss=False)
-        with obs.activate():
-            fit_pwlr(x, y)
-        snap = obs.metrics.snapshot()
-        assert snap.get("pwlr.kernel.exact") == 1
-        assert "pwlr.kernel.moments" not in snap
+        model, snap = _search_counters(x, y)
+        assert "pwlr.search_exact_escapes" not in snap
+        assert snap["pwlr.candidate_evaluations"] == 498
+        assert model.breakpoints.size == 0
 
-    def test_auto_nonfinite_input_falls_back_to_exact(self):
+    def test_nonfinite_input_escapes_to_dense_path(self):
+        """NaN data make every moments row unreliable; the rows go to the
+        dense fit, which refuses NaN input as before."""
         x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
         y = x.copy()
         y[5] = np.nan
-        assert _SearchScorer(x, y, PWLRConfig()).kernel == "exact"
-
-    def test_forced_kernel_wins_over_auto_heuristics(self):
-        rng = np.random.default_rng(3)
-        x = np.sort(rng.uniform(0, 1, 100))
-        y = x + rng.normal(0, 0.01, 100)
-        assert _SearchScorer(x, y, PWLRConfig(search_kernel="moments")).kernel == (
-            "moments"
-        )
+        _, _, ok = MomentProfile(x, y).evaluate_many(np.array([[0.3], [0.6]]))
+        assert not ok.any()
+        with pytest.raises(ValueError):
+            fit_pwlr(x, y)
 
 
 class TestKernelEquivalence:
+    """The moments ranking selects what the retired dense ranking
+    selected: models and evaluation counts recorded from the dense
+    (``"exact"``) search are reproduced bit for bit."""
+
+    DENSE_RANKED = {
+        200: {
+            "breakpoints": [
+                "0x1.2f5661b52067dp-2", "0x1.67492ef83b7d2p-1", "0x1.f533d740fad53p-1"
+            ],
+            "slopes": [
+                "0x1.c653ad95212b0p-2", "0x1.0c50a8cf00e2bp+1",
+                "0x1.019c13f975da7p-2", "0x0.0p+0",
+            ],
+            "intercept": "0x1.7795c4bdb83c3p-10",
+            "sse": "0x1.53c6191b00ba2p-2",
+        },
+        1500: {
+            "breakpoints": [
+                "0x1.339720ec5b5b8p-2", "0x1.66ca0dd45efd6p-1", "0x1.f5c21b9923009p-1"
+            ],
+            "slopes": [
+                "0x1.e2b1019f6f1edp-2", "0x1.0b47e299c9ff3p+1",
+                "0x1.08142b109d0a1p-2", "0x0.0p+0",
+            ],
+            "intercept": "0x1.11fceaecd848bp-10",
+            "sse": "0x1.424f30e4f6a4ap+1",
+        },
+    }
+
     @pytest.mark.parametrize("n", [200, 1500])
     def test_kernels_select_identical_models(self, n):
-        rng = np.random.default_rng(7)
-        x = np.sort(rng.uniform(0.0, 1.0, n))
-        knots = np.array([0.0, 0.3, 0.7, 1.0])
-        slopes = np.array([0.5, 2.0, 0.8])
-        vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
-        idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, 2)
-        y = vals[idx] + slopes[idx] * (x - knots[idx]) + rng.normal(0, 0.01, n)
-        fits = {
-            kernel: fit_pwlr(x, y, PWLRConfig(search_kernel=kernel))
-            for kernel in ("moments", "exact")
-        }
-        a, b = fits["moments"], fits["exact"]
-        assert np.array_equal(a.breakpoints, b.breakpoints)
-        assert np.array_equal(a.slopes, b.slopes)
-        assert a.intercept == b.intercept
-        assert a.sse == b.sse
+        x, y = _three_phase_series(n)
+        assert _fit_hex(fit_pwlr(x, y)) == self.DENSE_RANKED[n]
 
     def test_candidate_evaluations_kernel_independent(self):
         rng = np.random.default_rng(11)
         x = np.sort(rng.uniform(0.0, 1.0, 900))
         y = np.minimum(x * 2.0, 0.6 + 0.5 * x) + rng.normal(0, 0.02, 900)
-        counts = {}
-        for kernel in ("moments", "exact"):
-            obs = Observability(collect_rss=False)
-            with obs.activate():
-                fit_pwlr(x, y, PWLRConfig(search_kernel=kernel))
-            counts[kernel] = obs.metrics.snapshot()["pwlr.candidate_evaluations"]
-        assert counts["moments"] == counts["exact"]
+        _, snap = _search_counters(x, y)
+        # Both retired kernels reported 1024 on this series.
+        assert snap["pwlr.candidate_evaluations"] == 1024
 
-    def test_search_cache_hits_published(self):
+    def test_retired_kernel_counters_not_published(self):
         rng = np.random.default_rng(13)
         x = np.sort(rng.uniform(0.0, 1.0, 600))
         y = x**2 + rng.normal(0, 0.02, 600)
-        obs = Observability(collect_rss=False)
-        with obs.activate():
-            fit_pwlr(x, y, PWLRConfig(search_kernel="moments"))
-        snap = obs.metrics.snapshot()
-        assert snap["pwlr.search_cache_hits"] > 0
-        assert snap["pwlr.kernel.moments"] == 1
+        _, snap = _search_counters(x, y)
+        assert snap["pwlr.fits"] == 1
+        assert not [k for k in snap if k.startswith("pwlr.kernel.")]
+        assert "pwlr.search_cache_hits" not in snap
+
+
+class TestSearchGolden:
+    def test_fit_pwlr_matches_golden(self):
+        """fit_pwlr on the seed-0 quick corpus, bit for bit, against
+        values recorded before the search had a single evaluator."""
+        from repro.verify.corpus import pwl_datasets
+
+        with open(os.path.join(GOLDEN_DIR, "pwlr_search_seed0.json")) as handle:
+            golden = json.load(handle)["cases"]
+        cases = pwl_datasets(0, full=False)
+        assert sorted(golden) == sorted(case.name for case in cases)
+        for case in cases:
+            cfg = PWLRConfig(anchor=case.anchor, monotone=case.monotone)
+            assert _fit_hex(fit_pwlr(case.x, case.y, cfg)) == golden[case.name], (
+                case.name
+            )
 
 
 class TestFingerprintInvariance:
+    #: fingerprint_config(AnalyzerConfig()) recorded while PWLRConfig
+    #: still had its search_kernel knob; store entries keyed by it stay
+    #: cache hits because the fit results are byte-identical.
+    DEFAULT_FINGERPRINT = (
+        "9c42cef190973be986ba8c57958d8001a4a11dec2b232eb923c67ca07f668726"
+    )
+
     def test_search_kernel_excluded_from_fingerprint(self):
         from repro.analysis.pipeline import AnalyzerConfig
-        from repro.store.fingerprint import fingerprint_config
+        from repro.store.fingerprint import (
+            config_fingerprint_dict,
+            fingerprint_config,
+        )
 
-        digests = {
-            kernel: fingerprint_config(
-                AnalyzerConfig(
-                    pwlr=dataclasses.replace(PWLRConfig(), search_kernel=kernel)
-                )
-            )
-            for kernel in ("auto", "moments", "exact")
-        }
-        assert len(set(digests.values())) == 1
-        assert digests["auto"] == fingerprint_config(AnalyzerConfig())
+        assert "search_kernel" not in config_fingerprint_dict(AnalyzerConfig())["pwlr"]
+        assert fingerprint_config(AnalyzerConfig()) == self.DEFAULT_FINGERPRINT
 
-    def test_stored_config_roundtrips_search_kernel(self):
+    def test_stored_config_with_retired_search_kernel_reads(self):
         from repro.analysis.pipeline import AnalyzerConfig
         from repro.store.fingerprint import config_from_dict, config_to_dict
 
-        cfg = AnalyzerConfig(
-            pwlr=dataclasses.replace(PWLRConfig(), search_kernel="exact")
-        )
-        assert config_from_dict(config_to_dict(cfg)).pwlr.search_kernel == "exact"
+        stored = config_to_dict(AnalyzerConfig())
+        stored["pwlr"]["search_kernel"] = "exact"
+        assert config_from_dict(stored) == AnalyzerConfig()
+
+    def test_stored_config_with_unknown_pwlr_field_refused(self):
+        from repro.analysis.pipeline import AnalyzerConfig
+        from repro.errors import ConfigurationError
+        from repro.store.fingerprint import config_from_dict, config_to_dict
+
+        stored = config_to_dict(AnalyzerConfig())
+        stored["pwlr"]["search_kernels"] = "exact"
+        with pytest.raises(ConfigurationError, match="search_kernels"):
+            config_from_dict(stored)
 
 
 class TestRefitSlopesMany:

@@ -69,6 +69,23 @@ class TestProfileCoverage:
             rec.name == "fit_pwlr" for _, rec in detect.walk()
         )
 
+    def test_fit_pwlr_explains_its_time(self, observed_analysis):
+        _, result = observed_analysis
+        fits = result.profile.find_all("fit_pwlr")
+        assert fits
+        for fit in fits:
+            names = [child.name for child in fit.children]
+            assert set(names) <= {
+                "pwlr.add",
+                "pwlr.window_refine",
+                "pwlr.continuous_refine",
+                "pwlr.final_fit",
+                "pwlr.merge",
+            }
+            assert names[-2:] == ["pwlr.final_fit", "pwlr.merge"]
+            assert names.count("pwlr.add") >= 1
+            assert names.count("pwlr.continuous_refine") >= 1
+
     def test_metrics_agree_with_result(self, observed_analysis):
         obs, result = observed_analysis
         snap = obs.metrics.snapshot()

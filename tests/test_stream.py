@@ -264,6 +264,16 @@ class TestStreamEngine:
                 engine.process_text(chunk)
             result = engine.finalize(source)
         assert result_to_json(result) == result_to_json(batch)
+        # each live refit is one span, with its fits nested inside
+        refits = obs.profile().find_all("stream.refit")
+        assert engine.n_refits > 0
+        assert len(refits) == engine.n_refits + sum(
+            state.n_refit_failures for state in engine.clusters.values()
+        )
+        fitted = [
+            r for r in refits if any(rec.name == "fit_pwlr" for _, rec in r.walk())
+        ]
+        assert len(fitted) >= engine.n_refits
 
     def test_salvage_convergence_on_corrupted_stdin(self, multiphase_trace):
         text = dump_trace_text(multiphase_trace)

@@ -3,6 +3,7 @@ crash-recovery through the watch CLI."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -104,6 +105,52 @@ class TestCheckpointResume:
             handle.write(mutated)
         with pytest.raises(StreamError, match="prefix"):
             resume_engine(checkpoint, copy)
+
+    def _with_pwlr_field(self, checkpoint, name, value):
+        """Add a field to the checkpoint's stored PWLR config and re-seal
+        it, as a checkpoint written by an older release would carry."""
+        from repro.stream.checkpoint import _canonical
+
+        document = json.loads(open(checkpoint, encoding="utf-8").read())
+        payload = document["payload"]
+        payload["engine"]["config"]["analyzer"]["pwlr"][name] = value
+        document["digest"] = hashlib.sha256(
+            _canonical(payload).encode("utf-8")
+        ).hexdigest()
+        with open(checkpoint, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+    def test_checkpoint_with_retired_search_kernel_resumes(
+        self, multiphase_trace_file, tmp_path
+    ):
+        checkpoint = str(tmp_path / "mid.ckpt")
+        straight = StreamEngine(StreamConfig())
+        source = TraceTailSource(multiphase_trace_file, chunk_size=2048)
+        for text in source.drain():
+            straight.process_text(text)
+        want = result_to_json(straight.finalize(source))
+        source.close()
+
+        _run_partial(multiphase_trace_file, checkpoint)
+        self._with_pwlr_field(checkpoint, "search_kernel", "exact")
+        engine, source = resume_engine(
+            checkpoint, multiphase_trace_file, StreamConfig()
+        )
+        for text in source.drain():
+            engine.process_text(text)
+        assert result_to_json(engine.finalize(source)) == want
+        source.close()
+
+    def test_checkpoint_with_unknown_pwlr_field_refused(
+        self, multiphase_trace_file, tmp_path
+    ):
+        from repro.errors import ConfigurationError
+
+        checkpoint = str(tmp_path / "mid.ckpt")
+        _run_partial(multiphase_trace_file, checkpoint)
+        self._with_pwlr_field(checkpoint, "search_budget", 3)
+        with pytest.raises(ConfigurationError, match="search_budget"):
+            resume_engine(checkpoint, multiphase_trace_file)
 
     def test_config_mismatch_refused(self, multiphase_trace_file, tmp_path):
         checkpoint = str(tmp_path / "mid.ckpt")
