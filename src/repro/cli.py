@@ -346,6 +346,18 @@ def _cmd_analyze_impl(args: argparse.Namespace) -> int:
     return 0
 
 
+def _watch_failed(exc: ReproError, salvage: bool) -> int:
+    """One stderr line for a watch that cannot go on; exit code 1."""
+    strict_read = isinstance(exc, TraceFormatError) and not isinstance(
+        exc, SalvageError
+    )
+    hint = ""
+    if strict_read and not salvage:
+        hint = " (re-run with --salvage to recover what is readable)"
+    print(f"watch: {exc}{hint}", file=sys.stderr)
+    return 1
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     from_stdin = args.trace == "-"
     if from_stdin and (args.checkpoint or args.resume):
@@ -439,9 +451,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                     ),
                     should_stop=lambda: interrupted["flag"],
                 )
-            except StreamError as exc:
-                print(f"watch: {exc}", file=sys.stderr)
-                return 1
+            except ReproError as exc:
+                return _watch_failed(exc, config.salvage)
             if reason == "stopped":
                 if args.checkpoint:
                     _checkpoint(engine, source)
@@ -455,7 +466,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                           file=sys.stderr)
                 print(engine.report().render(), file=sys.stderr)
                 return 130
-            result = engine.finalize(source)
+            try:
+                result = engine.finalize(source)
+            except ReproError as exc:
+                return _watch_failed(exc, config.salvage)
         wall_s = time.perf_counter() - start
     finally:
         signal.signal(signal.SIGINT, previous_handler)

@@ -403,6 +403,8 @@ def fit_pwlr(
     y = np.asarray(y, dtype=float)
     if x.size < 8:
         raise FittingError(f"need at least 8 points for the search, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise FittingError("x and y must be finite (NaN or inf in the input)")
     with _span("fit_pwlr", n_points=int(x.size)) as rec:
         model, evaluator = _fit_pwlr_impl(x, y, cfg)
     _metric_counter("pwlr.fits").inc()

@@ -6,8 +6,9 @@ producer, or stdin — and keeps an approximate phase model warm while the
 trace grows:
 
 * :mod:`repro.stream.source` — tailing byte source (file or stdin
-  spool) and the incremental salvage parser built on the batch reader's
-  per-line machinery;
+  spool); its text goes through the one trace parser,
+  :class:`repro.trace.reader.TraceParser`, re-exported here as
+  ``StreamParser``;
 * :mod:`repro.stream.assembly` — incremental burst assembly replicating
   the batch extractor's pairing semantics with watermark-gated sample
   attachment;
@@ -33,7 +34,8 @@ from repro.stream.checkpoint import (
 )
 from repro.stream.engine import StreamConfig, StreamEngine, StreamReport
 from repro.stream.model import ClusterReservoir, DriftWindow, OnlineClusterModel
-from repro.stream.source import StreamParser, TraceTailSource
+from repro.stream.source import TraceTailSource
+from repro.trace.reader import TraceParser as StreamParser
 
 __all__ = [
     "StreamParser",

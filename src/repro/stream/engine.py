@@ -2,7 +2,7 @@
 
 :class:`StreamEngine` wires the incremental pieces together:
 
-    bytes → :class:`~repro.stream.source.StreamParser` (salvage parse)
+    bytes → :class:`~repro.trace.reader.TraceParser` (salvage parse)
           → :class:`~repro.stream.assembly.IncrementalBurstAssembler`
           → :class:`~repro.stream.model.OnlineClusterModel` (assign)
           → per-cluster :class:`~repro.stream.model.ClusterReservoir`
@@ -47,8 +47,13 @@ from repro.stream.assembly import (
     burst_to_dict,
 )
 from repro.stream.model import NOISE, ClusterReservoir, DriftWindow, OnlineClusterModel
-from repro.stream.source import StreamParser, TraceTailSource
-from repro.trace.reader import read_trace, read_trace_salvaged
+from repro.stream.source import TraceTailSource
+from repro.trace.reader import (
+    ReadPolicy,
+    TraceParser,
+    read_trace,
+    read_trace_salvaged,
+)
 
 __all__ = ["StreamConfig", "StreamEngine", "StreamReport"]
 
@@ -226,7 +231,9 @@ class StreamEngine:
 
     def __init__(self, config: Optional[StreamConfig] = None) -> None:
         self.config = config or StreamConfig()
-        self.parser = StreamParser(dedup_window=self.config.dedup_window)
+        self.parser = TraceParser(
+            ReadPolicy.SALVAGE, dedup_window=self.config.dedup_window
+        )
         self.assembler = IncrementalBurstAssembler(
             min_duration=self.config.analyzer.min_burst_duration_s,
             max_pending=self.config.max_pending_bursts,
@@ -637,7 +644,7 @@ class StreamEngine:
     def from_state(cls, state: Dict[str, object]) -> "StreamEngine":
         """Rebuild an engine from :meth:`state_to_dict` output."""
         engine = cls(StreamConfig.from_dict(state["config"]))  # type: ignore[arg-type]
-        engine.parser = StreamParser.from_state(state["parser"])  # type: ignore[arg-type]
+        engine.parser = TraceParser.from_state(state["parser"])  # type: ignore[arg-type]
         engine.assembler = IncrementalBurstAssembler.from_state(state["assembler"])  # type: ignore[arg-type]
         if state["model"] is not None:
             engine.model = OnlineClusterModel.from_state(state["model"])  # type: ignore[arg-type]

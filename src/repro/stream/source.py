@@ -1,24 +1,17 @@
-"""Tailing record sources: incremental salvage parsing of a growing trace.
+"""Tailing byte source for a growing trace (``repro watch``).
 
-Two layers:
+:class:`TraceTailSource` is the byte feed.  It follows a growing file by
+offset (re-opening per poll, so rotation/late creation are tolerated)
+or drains a text stream (stdin), spooling its bytes to a temp file so
+finalization can re-read the complete input.  Consumed bytes run
+through a rolling sha256 so checkpoints can prove on resume that the
+file's consumed prefix is the one the state was built from.
 
-* :class:`StreamParser` — a push-down incremental version of the batch
-  reader's salvage path.  Text arrives in arbitrary chunks; complete
-  lines are parsed with the *same* per-line machinery the batch reader
-  uses (:func:`repro.trace.reader._parse_record`,
-  :func:`~repro.trace.reader._salvage_dictionary` semantics), torn tails
-  are held back until their newline arrives, and damaged lines are
-  dropped and counted in a :class:`~repro.trace.reader.SalvageReport`
-  exactly like a batch salvage read.  The one deliberate difference: the
-  batch reader's duplicate-line set is unbounded, so the stream keeps a
-  *bounded* recent-line window (``dedup_window``) — duplicates further
-  apart than the window are only caught by the exact finalization pass.
-* :class:`TraceTailSource` — the byte feed.  Follows a growing file by
-  offset (re-opening per poll, so rotation/late creation are tolerated)
-  or drains a text stream (stdin), spooling its bytes to a temp file so
-  finalization can re-read the complete input.  Consumed bytes run
-  through a rolling sha256 so checkpoints can prove on resume that the
-  file's consumed prefix is the one the state was built from.
+The text it yields is parsed by the one trace parser,
+:class:`repro.trace.reader.TraceParser` (re-exported as
+:class:`repro.stream.StreamParser`), in salvage mode with a bounded
+dedup window: that window is the only difference from a batch salvage
+read of the same bytes.
 
 The source applies backpressure by construction: it is pull-based.
 Records are only materialized when the engine asks for the next chunk,
@@ -30,254 +23,12 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterator, Optional
 
-from repro.errors import SalvageError, StreamError
-from repro.trace.pcf import EventDictionary
-from repro.trace.reader import ReadPolicy, SalvageReport, _parse_record
-from repro.trace.records import InstrumentationRecord, SampleRecord, StateRecord
-from repro.trace.writer import FORMAT_HEADER
+from repro.errors import StreamError
 
-__all__ = ["StreamParser", "TraceTailSource"]
-
-#: One parsed record of any tag.
-Record = Union[StateRecord, InstrumentationRecord, SampleRecord]
-
-
-class StreamParser:
-    """Incremental salvage parser over chunked trace text.
-
-    Feed text with :meth:`feed`; it returns the typed records completed
-    by that chunk.  State mirrors the batch reader's one-pass section
-    machine (``header`` → ``[dict]`` → ``[records]``), with the header
-    and dictionary accepted incrementally.  All damage handling is
-    salvage-semantics: a live producer's torn tail is *normal*, not an
-    error, so strict mode has no place here (exactness is recovered by
-    the finalization re-read; see :mod:`repro.stream.engine`).
-
-    The parser is fully serializable (:meth:`state_to_dict` /
-    :meth:`from_state`) so a checkpointed stream resumes with identical
-    salvage counts and dedup behavior.
-    """
-
-    def __init__(self, dedup_window: int = 4096) -> None:
-        if dedup_window < 1:
-            raise StreamError(f"dedup_window must be >= 1, got {dedup_window}")
-        self.dedup_window = dedup_window
-        self.report = SalvageReport()
-        self.lineno = 0
-        self.section = "preamble"  # preamble -> header -> dict -> records
-        self.app_name = ""
-        self.n_ranks = 0
-        self.metadata: Dict[str, str] = {}
-        self.max_rank_seen = -1
-        self._tail = ""  # torn trailing partial line
-        self._dict_lines: List[str] = []  # accepted dictionary lines
-        self._dictionary = EventDictionary()
-        self._recent: "OrderedDict[str, None]" = OrderedDict()
-
-    # ------------------------------------------------------------------
-    @property
-    def effective_ranks(self) -> int:
-        """Rank count: from the header, or inferred from records so far."""
-        if self.n_ranks >= 1:
-            return self.n_ranks
-        return self.max_rank_seen + 1
-
-    @property
-    def header_seen(self) -> bool:
-        """Whether the magic first line has been accepted."""
-        return self.section != "preamble"
-
-    # ------------------------------------------------------------------
-    def feed(self, text: str) -> List[Record]:
-        """Consume a chunk of text; return the records it completed.
-
-        The trailing piece after the last newline is held back (torn
-        tail) and prepended to the next chunk.
-        """
-        if not text:
-            return []
-        buffered = self._tail + text
-        pieces = buffered.split("\n")
-        self._tail = pieces.pop()  # "" when the chunk ended on a newline
-        out: List[Record] = []
-        for piece in pieces:
-            record = self._line(piece)
-            if record is not None:
-                out.append(record)
-        return out
-
-    def finish(self) -> List[Record]:
-        """Flush the held-back tail at end of stream.
-
-        A tail without its newline is parsed as a final line — if the
-        producer died mid-record it is dropped and counted like any other
-        damaged line.
-        """
-        if not self._tail:
-            return []
-        tail, self._tail = self._tail, ""
-        record = self._line(tail)
-        return [record] if record is not None else []
-
-    # ------------------------------------------------------------------
-    def _line(self, raw: str) -> Optional[Record]:
-        self.lineno += 1
-        line = raw.strip()
-        if self.section == "preamble":
-            if not line:
-                return None
-            if line != FORMAT_HEADER:
-                raise SalvageError(
-                    f"missing trace header; expected {FORMAT_HEADER!r}, "
-                    f"got {line!r}"
-                )
-            self.section = "header"
-            return None
-        if not line:
-            return None
-        if line == "[dict]":
-            self.section = "dict"
-            return None
-        if line == "[records]":
-            self.section = "records"
-            return None
-        if self.section == "header":
-            self._header_line(line)
-            return None
-        if self.section == "dict":
-            self._dict_line(line)
-            return None
-        return self._record_line(line)
-
-    def _header_line(self, line: str) -> None:
-        parts = line.split()
-        if parts[0] == "app" and len(parts) == 2:
-            from repro.trace.reader import _unquote
-
-            self.app_name = _unquote(parts[1])
-        elif parts[0] == "ranks" and len(parts) == 2:
-            try:
-                self.n_ranks = int(parts[1])
-            except ValueError:
-                self.report.drop_line(self.lineno, line, "header")
-        elif parts[0] == "meta" and len(parts) == 3:
-            from repro.trace.reader import _unquote
-
-            self.metadata[_unquote(parts[1])] = _unquote(parts[2])
-        else:
-            self.report.drop_line(self.lineno, line, "header")
-
-    def _dict_line(self, line: str) -> None:
-        # Same accept-in-context rule as the batch _salvage_dictionary:
-        # a line is kept iff the dictionary still parses with it added.
-        from repro.errors import TraceFormatError
-
-        try:
-            EventDictionary.from_lines(self._dict_lines + [line])
-        except TraceFormatError:
-            self.report.drop_line(self.lineno, line, "dictionary")
-            return
-        self._dict_lines.append(line)
-        self._dictionary = EventDictionary.from_lines(self._dict_lines)
-
-    def _record_line(self, line: str) -> Optional[Record]:
-        from repro.errors import TraceFormatError
-
-        self.report.n_record_lines += 1
-        tag, rest = line[0], line[2:] if len(line) > 2 else ""
-        fields = rest.split()
-        try:
-            record = _parse_record(
-                tag, fields, self._dictionary, self.lineno,
-                ReadPolicy.SALVAGE, self.report,
-            )
-        except TraceFormatError as exc:
-            self.report.drop_line(
-                self.lineno, line, getattr(exc, "reason", "malformed-record")
-            )
-            return None
-        except (ValueError, KeyError):
-            self.report.drop_line(self.lineno, line, "malformed-record")
-            return None
-        if line in self._recent:
-            self.report.drop_line(self.lineno, line, "duplicate-record")
-            return None
-        self._recent[line] = None
-        while len(self._recent) > self.dedup_window:
-            self._recent.popitem(last=False)
-        if self.n_ranks >= 1 and record.rank >= self.n_ranks:
-            self.report.drop_line(self.lineno, line, "rank-out-of-range")
-            return None
-        if record.rank > self.max_rank_seen:
-            self.max_rank_seen = record.rank
-            if self.n_ranks < 1:
-                self.report.inferred_ranks = True
-        self.report.n_records_kept += 1
-        return record
-
-    # ------------------------------------------------------------------
-    def state_to_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of the full parser state."""
-        return {
-            "dedup_window": self.dedup_window,
-            "lineno": self.lineno,
-            "section": self.section,
-            "app_name": self.app_name,
-            "n_ranks": self.n_ranks,
-            "metadata": dict(self.metadata),
-            "max_rank_seen": self.max_rank_seen,
-            "tail": self._tail,
-            "dict_lines": list(self._dict_lines),
-            "recent": list(self._recent),
-            "report": {
-                "n_record_lines": self.report.n_record_lines,
-                "n_records_kept": self.report.n_records_kept,
-                "n_lines_dropped": self.report.n_lines_dropped,
-                "n_counters_dropped": self.report.n_counters_dropped,
-                "reasons": dict(self.report.reasons),
-                "first_bad": list(self.report.first_bad)
-                if self.report.first_bad else None,
-                "last_bad": list(self.report.last_bad)
-                if self.report.last_bad else None,
-                "inferred_ranks": self.report.inferred_ranks,
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "StreamParser":
-        """Rebuild a parser from :meth:`state_to_dict` output."""
-        parser = cls(dedup_window=int(state["dedup_window"]))
-        parser.lineno = int(state["lineno"])
-        parser.section = str(state["section"])
-        parser.app_name = str(state["app_name"])
-        parser.n_ranks = int(state["n_ranks"])
-        parser.metadata = dict(state["metadata"])  # type: ignore[arg-type]
-        parser.max_rank_seen = int(state["max_rank_seen"])
-        parser._tail = str(state["tail"])
-        parser._dict_lines = list(state["dict_lines"])  # type: ignore[arg-type]
-        if parser._dict_lines:
-            parser._dictionary = EventDictionary.from_lines(parser._dict_lines)
-        parser._recent = OrderedDict((line, None) for line in state["recent"])  # type: ignore[union-attr]
-        rep = state["report"]
-        parser.report.n_record_lines = int(rep["n_record_lines"])  # type: ignore[index]
-        parser.report.n_records_kept = int(rep["n_records_kept"])  # type: ignore[index]
-        parser.report.n_lines_dropped = int(rep["n_lines_dropped"])  # type: ignore[index]
-        parser.report.n_counters_dropped = int(rep["n_counters_dropped"])  # type: ignore[index]
-        parser.report.reasons = dict(rep["reasons"])  # type: ignore[index]
-        first_bad = rep["first_bad"]  # type: ignore[index]
-        last_bad = rep["last_bad"]  # type: ignore[index]
-        parser.report.first_bad = (
-            (int(first_bad[0]), str(first_bad[1])) if first_bad else None
-        )
-        parser.report.last_bad = (
-            (int(last_bad[0]), str(last_bad[1])) if last_bad else None
-        )
-        parser.report.inferred_ranks = bool(rep["inferred_ranks"])  # type: ignore[index]
-        return parser
+__all__ = ["TraceTailSource"]
 
 
 @dataclass

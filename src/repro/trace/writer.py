@@ -227,39 +227,27 @@ class TraceTailWriter:
         damaged preamble refuses the append rather than desynchronizing
         ids); the file must already contain its ``[records]`` marker.
         """
-        n_ranks = 0
-        dict_lines: List[str] = []
-        section = "header"
-        saw_records = False
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline().strip()
-            if first != FORMAT_HEADER:
-                raise TraceFormatError(
-                    f"{path}: missing trace header; expected {FORMAT_HEADER!r}"
-                )
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line == "[dict]":
-                    section = "dict"
-                    continue
-                if line == "[records]":
-                    saw_records = True
-                    break
-                if section == "header":
-                    parts = line.split()
-                    if parts[0] == "ranks" and len(parts) == 2:
-                        n_ranks = int(parts[1])
-                elif section == "dict":
-                    dict_lines.append(line)
-        if not saw_records:
+        # The reader imports this module; import it here, at call time.
+        from repro.trace.reader import ReadPolicy, TraceParser
+
+        parser = TraceParser(ReadPolicy.STRICT)
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                for raw in handle:
+                    parser.feed(raw)
+                    if parser.section == "records":
+                        break
+                else:
+                    parser.finish()
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from None
+        if parser.section != "records":
             raise TraceFormatError(
                 f"{path}: no [records] section — not an appendable trace"
             )
-        if n_ranks < 1:
+        if parser.n_ranks < 1:
             raise TraceFormatError(f"{path}: header missing a valid 'ranks' line")
-        dictionary = EventDictionary.from_lines(dict_lines)
+        dictionary, n_ranks = parser.dictionary, parser.n_ranks
         handle = open(path, "a", encoding="utf-8")
         return cls(path, handle, dictionary, n_ranks, fsync=fsync)
 

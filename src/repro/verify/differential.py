@@ -24,7 +24,7 @@ import shutil
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -792,7 +792,8 @@ def _suite_stream(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     """Streamed chunk-at-a-time analysis vs cold batch analyze — the
     finalized result JSON must be byte-identical, on clean traces
     (strict) and on adversarially corrupted ones (salvage vs salvage).
-    The live parser's drop counts must also match the batch salvage."""
+    The live parser's salvage report must also equal the batch one,
+    field for field."""
     from repro.analysis.pipeline import FoldingAnalyzer
     from repro.resilience.inject import CorruptionSpec, corrupt_trace_text
     from repro.store.serialize import result_to_json
@@ -803,13 +804,13 @@ def _suite_stream(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     out: List[Divergence] = []
     n_cases = 0
 
-    def run_stream(path: str, salvage: bool, chunk: int) -> Tuple[str, int]:
+    def run_stream(path: str, salvage: bool, chunk: int) -> Tuple[str, dict]:
         engine = StreamEngine(StreamConfig(salvage=salvage))
         source = TraceTailSource(path, chunk_size=chunk)
         for text in source.drain():
             engine.process_text(text)
         result = engine.finalize(source)
-        return result_to_json(result), engine.parser.report.n_lines_dropped
+        return result_to_json(result), asdict(engine.parser.report)
 
     # clean traces, strict finalization, torn-tail-inducing chunk sizes
     # (quick mode keeps one odd chunk size per trace; full adds a big one)
@@ -849,7 +850,7 @@ def _suite_stream(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
         path = os.path.join(ctx.workdir, f"stream-{name}.rpt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(bad)
-        got, got_drops = run_stream(path, salvage=True, chunk=1013)
+        got, got_report = run_stream(path, salvage=True, chunk=1013)
         trace, report = read_trace_salvaged(path)
         want = result_to_json(FoldingAnalyzer().analyze(trace, salvage=report))
         if got != want:
@@ -859,12 +860,15 @@ def _suite_stream(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
                     "salvage stream result differs from batch salvage analyze",
                 )
             )
-        if got_drops != report.n_lines_dropped:
+        want_report = asdict(report)
+        if got_report != want_report:
+            fields = sorted(
+                key for key in want_report if got_report[key] != want_report[key]
+            )
             out.append(
                 Divergence(
-                    "stream", f"{name}-drops", ctx.seed,
-                    f"live parser dropped {got_drops} lines, "
-                    f"batch salvage dropped {report.n_lines_dropped}",
+                    "stream", f"{name}-report", ctx.seed,
+                    f"live salvage report differs from batch in {fields}",
                 )
             )
     return n_cases, out

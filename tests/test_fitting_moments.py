@@ -196,14 +196,15 @@ class TestKernelSelection:
         assert model.breakpoints.size == 0
 
     def test_nonfinite_input_escapes_to_dense_path(self):
-        """NaN data make every moments row unreliable; the rows go to the
-        dense fit, which refuses NaN input as before."""
+        """NaN data make every moments row unreliable (each would escape
+        to the dense fit), so ``fit_pwlr`` refuses such input up front
+        with a ``FittingError``."""
         x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
         y = x.copy()
         y[5] = np.nan
         _, _, ok = MomentProfile(x, y).evaluate_many(np.array([[0.3], [0.6]]))
         assert not ok.any()
-        with pytest.raises(ValueError):
+        with pytest.raises(FittingError, match="finite"):
             fit_pwlr(x, y)
 
 

@@ -189,6 +189,20 @@ class TestFitPwlrAuto:
         with pytest.raises(FittingError):
             fit_pwlr(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
 
+    def test_nan_in_y_is_a_fitting_error(self):
+        x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
+        y = x.copy()
+        y[5] = np.nan
+        with pytest.raises(FittingError, match="finite"):
+            fit_pwlr(x, y)
+
+    def test_inf_in_x_is_a_fitting_error(self):
+        x = np.sort(np.random.default_rng(2).uniform(0, 1, 600))
+        y = x.copy()
+        x[-1] = np.inf
+        with pytest.raises(FittingError, match="finite"):
+            fit_pwlr(x, y)
+
     def test_config_validation(self):
         with pytest.raises(FittingError):
             PWLRConfig(max_breakpoints=-1)

@@ -3,9 +3,12 @@ the streaming engine's convergence guarantee."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -13,7 +16,7 @@ import pytest
 
 from repro.analysis.pipeline import FoldingAnalyzer
 from repro.clustering.bursts import extract_bursts
-from repro.errors import StreamError, TraceFormatError
+from repro.errors import SalvageError, StreamError, TraceFormatError
 from repro.observability.context import Observability
 from repro.resilience.inject import CorruptionSpec, corrupt_trace_text
 from repro.store import result_to_dict, result_to_json
@@ -51,6 +54,40 @@ def _feed_chunked(parser, text, chunk):
     return records
 
 
+def _damaged_text(text, case):
+    """``text`` with one kind of damage that live and batch must agree on."""
+    if case == "corrupted":
+        return corrupt_trace_text(
+            text,
+            [
+                CorruptionSpec("bitflip_fields", 0.05),
+                CorruptionSpec("duplicate_records", 0.05),
+                CorruptionSpec("truncate", 0.02),
+            ],
+            seed=11,
+        )
+    if case == "leading-blank":
+        return "\n" + text
+    if case == "u2028-in-record":
+        # A line separator only str.splitlines() honours; the writer
+        # percent-quotes it, so here it damages exactly one record line.
+        at = text.index("\nP ") + 8
+        return text[:at] + "\u2028" + text[at:]
+    assert case == "no-ranks"
+    lines = text.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("ranks "))
+
+
+def _salvage_outcome(read):
+    """(kind, report fields, n records) of a salvage read, or its error."""
+    try:
+        records, report = read()
+    except SalvageError as exc:
+        return ("error", str(exc))
+    n_records = records.n_records if hasattr(records, "n_records") else len(records)
+    return ("ok", dataclasses.asdict(report), n_records)
+
+
 class TestStreamParser:
     @pytest.mark.parametrize("chunk", [1, 37, 4096])
     def test_chunked_parse_matches_batch_salvage(self, multiphase_trace, chunk):
@@ -71,20 +108,51 @@ class TestStreamParser:
 
     def test_drop_parity_on_corrupted_text(self, multiphase_trace):
         text = dump_trace_text(multiphase_trace)
-        bad = corrupt_trace_text(
-            text,
-            [
-                CorruptionSpec("bitflip_fields", 0.05),
-                CorruptionSpec("duplicate_records", 0.05),
-                CorruptionSpec("truncate", 0.02),
-            ],
-            seed=11,
+        for case in ("corrupted", "leading-blank", "u2028-in-record", "no-ranks"):
+            bad = _damaged_text(text, case)
+            batch = _salvage_outcome(lambda: salvage_trace_text(bad))
+            if case == "leading-blank":
+                assert batch[0] == "error" and "missing trace header" in batch[1]
+            elif case == "u2028-in-record":
+                assert batch[1]["reasons"] == {"malformed-record": 1}
+            elif case == "no-ranks":
+                assert batch[1]["inferred_ranks"]
+            else:
+                assert batch[1]["n_lines_dropped"] > 0
+            for chunk in (1, 211, 4096):
+                parser = StreamParser()
+                live = _salvage_outcome(
+                    lambda: (_feed_chunked(parser, bad, chunk), parser.report)
+                )
+                # Every SalvageReport field, the kept-record count, or the error.
+                assert live == batch, (case, chunk)
+
+    def test_resumes_state_recorded_by_earlier_release(self):
+        """A parser state saved mid-line by an earlier release (committed
+        as JSON) still loads; feeding the rest of the trace gives the
+        records and report of an uninterrupted parse."""
+        golden = os.path.join(
+            os.path.dirname(__file__), "golden", "stream_parser_state.json"
         )
-        _, report = salvage_trace_text(bad)
-        parser = StreamParser()
-        _feed_chunked(parser, bad, 211)
-        assert parser.report.n_lines_dropped == report.n_lines_dropped
-        assert parser.report.reasons == report.reasons
+        with open(golden, encoding="utf-8") as handle:
+            fixture = json.load(handle)
+        text, split, state = fixture["text"], fixture["split"], fixture["state"]
+        window = state["dedup_window"]
+
+        fresh = StreamParser(dedup_window=window)
+        head = fresh.feed(text[:split])
+        # Same keys and values, once through JSON as a checkpoint stores it.
+        assert json.loads(json.dumps(fresh.state_to_dict())) == state
+
+        resumed = StreamParser.from_state(state)
+        rest = resumed.feed(text[split:]) + resumed.finish()
+        straight = StreamParser(dedup_window=window)
+        every = _feed_chunked(straight, text, len(text))
+        assert head + rest == every
+        assert dataclasses.asdict(resumed.report) == dataclasses.asdict(
+            straight.report
+        )
+        assert resumed.report.n_lines_dropped > 0
 
     def test_torn_tail_held_back_until_complete(self, multiphase_trace):
         text = dump_trace_text(multiphase_trace)
@@ -404,6 +472,36 @@ class TestWatchCli:
 
         rc = main(["watch", "/nonexistent/trace.rpt"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("junk-tail", "unknown record tag"),
+            ("leading-blank", "missing trace header"),
+        ],
+    )
+    def test_watch_damaged_file_fails_without_traceback(
+        self, multiphase_trace, tmp_path, damage, message
+    ):
+        text = dump_trace_text(multiphase_trace)
+        if damage == "junk-tail":
+            text += "Z junk line\n"
+        else:
+            text = "\n" + text
+        path = tmp_path / "damaged.rpt"
+        path.write_text(text, encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "-q", "watch", str(path),
+             "--until-idle", "0.2", "--poll", "0.05"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "watch: " in proc.stderr and message in proc.stderr
+        if damage == "junk-tail":
+            assert "--salvage" in proc.stderr  # a strict read failed
 
     def test_analyze_stdin(self, multiphase_trace_file, capsys, monkeypatch):
         from repro.cli import main
