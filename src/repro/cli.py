@@ -193,7 +193,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
+    try:
+        trace = read_trace(args.trace)
+    except (OSError, ReproError) as exc:
+        return _command_failed("stats", exc, _CHECK_SALVAGE_HINT)
     stats = compute_stats(trace)
     print(f"application:        {trace.app_name or '(unnamed)'}")
     print(f"ranks:              {stats.n_ranks}")
@@ -307,7 +310,10 @@ def _cmd_analyze_impl(args: argparse.Namespace) -> int:
         obs = Observability()
         start = time.perf_counter()
         with obs.activate():
-            result = produce()
+            try:
+                result = produce()
+            except (OSError, ReproError) as exc:
+                return _command_failed("analyze", exc, _CHECK_SALVAGE_HINT)
         wall_s = time.perf_counter() - start
         profile = obs.profile()
         metrics = obs.metrics.snapshot()
@@ -332,7 +338,10 @@ def _cmd_analyze_impl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:
-        result = produce()
+        try:
+            result = produce()
+        except (OSError, ReproError) as exc:
+            return _command_failed("analyze", exc, _CHECK_SALVAGE_HINT)
     hints = generate_hints(result)
     print(render_report(result, hints))
     worst = result.diagnostics.worst
@@ -346,16 +355,30 @@ def _cmd_analyze_impl(args: argparse.Namespace) -> int:
     return 0
 
 
+def _command_failed(command: str, exc: Exception, salvage_hint: str = "") -> int:
+    """One stderr line for a command that cannot go on; exit code 1.
+
+    ``salvage_hint`` is appended when a strict read failed: it says how
+    to recover what is readable.
+    """
+    if isinstance(exc, OSError) and exc.filename is not None:
+        message = f"{exc.strerror}: {exc.filename}"
+    else:
+        message = str(exc)
+    if isinstance(exc, TraceFormatError) and not isinstance(exc, SalvageError):
+        message += salvage_hint
+    print(f"{command}: {message}", file=sys.stderr)
+    return 1
+
+
+#: How ``stats`` and ``analyze`` point past a strict read failure.
+_CHECK_SALVAGE_HINT = " (repro check --salvage shows what is readable)"
+
+
 def _watch_failed(exc: ReproError, salvage: bool) -> int:
     """One stderr line for a watch that cannot go on; exit code 1."""
-    strict_read = isinstance(exc, TraceFormatError) and not isinstance(
-        exc, SalvageError
-    )
-    hint = ""
-    if strict_read and not salvage:
-        hint = " (re-run with --salvage to recover what is readable)"
-    print(f"watch: {exc}{hint}", file=sys.stderr)
-    return 1
+    hint = "" if salvage else " (re-run with --salvage to recover what is readable)"
+    return _command_failed("watch", exc, hint)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

@@ -27,9 +27,8 @@ the dominant structure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,40 +54,90 @@ _GRID_MIN_CELLS = 8
 _GRID_MAX_COORD = 1e15
 
 
-def _grid_buckets(
-    points: np.ndarray, cell: float
-) -> Optional[Dict[Tuple[int, ...], np.ndarray]]:
-    """Bucket point indices into a uniform grid of size ``cell``.
+#: Linear cell ids must stay below this (int64 arithmetic).
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    Returns ``None`` when the geometry cannot be gridded safely (cell
-    coordinates would overflow).  Coordinates are shifted to start at the
-    data minimum so cell ids are small non-negative integers.
+
+@dataclass(frozen=True)
+class _GridTable:
+    """A uniform grid over a point set, as arrays.
+
+    Each point's cell has a linear id: its integer cell coordinates,
+    shifted to start at 1, times row-major strides.  One empty cell of
+    padding on each side keeps every neighbor of an occupied cell inside
+    the box, so adding a linear offset never wraps onto another cell.
+    The occupied cells are a sorted id array with their members in CSR
+    form: ``order`` lists point indices grouped by cell (ascending within
+    a cell), and cell ``c`` owns ``order[starts[c] : starts[c] +
+    counts[c]]``.  ``offsets`` holds the sorted linear ids of the 3^d
+    neighbor steps.
     """
+
+    cells: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        """Number of occupied cells."""
+        return int(self.cells.size)
+
+    def members(self, c: int) -> np.ndarray:
+        """Point indices in occupied cell ``c``, ascending."""
+        start = self.starts[c]
+        return self.order[start : start + self.counts[c]]
+
+    def candidates(self, c: int) -> np.ndarray:
+        """All point indices in the 3^d cells around cell ``c``, ascending."""
+        probe = self.cells[c] + self.offsets
+        pos = np.searchsorted(self.cells, probe)
+        pos[pos == self.cells.size] = 0
+        hit = pos[self.cells[pos] == probe]
+        counts = self.counts[hit]
+        # CSR gather: the run of ``order`` positions of every hit cell.
+        ends = np.cumsum(counts)
+        gather = np.repeat(self.starts[hit] - ends + counts, counts)
+        gather += np.arange(gather.size)
+        cand = self.order[gather]
+        cand.sort()
+        return cand
+
+
+def _grid_table(points: np.ndarray, cell: float) -> Optional[_GridTable]:
+    """Index ``points`` in a uniform grid of size ``cell``.
+
+    Returns ``None`` when the geometry cannot be gridded safely: cell
+    coordinates would overflow, or the linear ids would not fit int64.
+    """
+    n, d = points.shape
     mins = points.min(axis=0)
     span = points.max(axis=0) - mins
-    if np.any(span / cell > _GRID_MAX_COORD):
+    if not np.all(np.isfinite(span)) or np.any(span / cell > _GRID_MAX_COORD):
         return None
     coords = np.floor((points - mins) / cell).astype(np.int64)
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for i, key in enumerate(map(tuple, coords)):
-        buckets.setdefault(key, []).append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in buckets.items()}
-
-
-def _neighbor_candidates(
-    buckets: Dict[Tuple[int, ...], np.ndarray],
-    key: Tuple[int, ...],
-    offsets: List[Tuple[int, ...]],
-) -> np.ndarray:
-    """All point indices in the 3^d cells around ``key``, ascending."""
-    found = [
-        buckets[shifted]
-        for shifted in (tuple(k + o for k, o in zip(key, off)) for off in offsets)
-        if shifted in buckets
-    ]
-    cand = np.concatenate(found)
-    cand.sort()
-    return cand
+    strides = []
+    size = 1
+    for extent in reversed((coords.max(axis=0) + 3).tolist()):
+        strides.append(size)
+        size *= extent
+    if size > _INT64_MAX:
+        return None
+    stride = np.array(strides[::-1], dtype=np.int64)
+    linear = (coords + 1) @ stride
+    order = np.argsort(linear, kind="stable")
+    ordered = linear[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    steps = np.indices((3,) * d).reshape(d, -1).T - 1
+    return _GridTable(
+        cells=ordered[starts],
+        starts=starts,
+        counts=counts,
+        order=order,
+        offsets=np.sort(steps @ stride),
+    )
 
 
 @dataclass
@@ -213,18 +262,18 @@ class DBSCAN:
         few cells are occupied for the index to prune anything (the grid
         would still be correct there, just not faster).
         """
-        n, d = points.shape
-        buckets = _grid_buckets(points, self.eps)
-        if buckets is None:
+        n = points.shape[0]
+        table = _grid_table(points, self.eps)
+        if table is None:
             return None
-        if len(buckets) < _GRID_MIN_CELLS and not force:
+        if table.n_cells < _GRID_MIN_CELLS and not force:
             return None
         sq_eps = self.eps * self.eps
         norms = np.einsum("ij,ij->i", points, points)
-        offsets = list(itertools.product((-1, 0, 1), repeat=d))
         neighborhoods: List[Optional[np.ndarray]] = [None] * n
-        for key, idx in buckets.items():
-            cand = _neighbor_candidates(buckets, key, offsets)
+        for c in range(table.n_cells):
+            idx = table.members(c)
+            cand = table.candidates(c)
             cand_points = points[cand]
             cand_norms = norms[cand]
             for start in range(0, idx.size, self.block):
@@ -236,10 +285,13 @@ class DBSCAN:
                 )
                 _snap_identity_noise(d2, norms[rows], cand_norms)
                 within = d2 <= sq_eps
-                for row in range(rows.size):
-                    neighborhoods[int(rows[row])] = cand[
-                        np.flatnonzero(within[row])
-                    ]
+                # Row-major nonzero keeps each row's hits ascending.
+                hits = cand[np.nonzero(within)[1]]
+                bounds = np.cumsum(within.sum(axis=1)).tolist()
+                lo = 0
+                for row, hi in zip(rows.tolist(), bounds):
+                    neighborhoods[row] = hits[lo:hi]
+                    lo = hi
         return neighborhoods  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -389,7 +441,7 @@ def _kdist_grid(
     Returns ``None`` when the grid cannot help (degenerate pilot scale or
     too few occupied cells); the caller then uses the blocked scan.
     """
-    n, d = points.shape
+    n = points.shape[0]
     # Pilot: exact k-dists of a deterministic stride sample bound the
     # typical k-dist scale, which becomes the cell size.
     pilot_rows = np.unique(np.linspace(0, n - 1, 256).astype(np.intp))
@@ -397,16 +449,16 @@ def _kdist_grid(
     cell = float(np.quantile(pilot, 0.98)) * 1.25
     if cell <= 0 or not np.isfinite(cell):
         return None
-    buckets = _grid_buckets(points, cell)
-    if buckets is None or len(buckets) < _GRID_MIN_CELLS:
+    table = _grid_table(points, cell)
+    if table is None or table.n_cells < _GRID_MIN_CELLS:
         return None
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
     kdist = np.full(n, -1.0)
     block = 512
-    for key, idx in buckets.items():
-        cand = _neighbor_candidates(buckets, key, offsets)
+    for c in range(table.n_cells):
+        cand = table.candidates(c)
         if cand.size <= k:
             continue  # not enough candidates: exact fallback below
+        idx = table.members(c)
         cand_points = points[cand]
         cand_norms = norms[cand]
         for start in range(0, idx.size, block):

@@ -79,25 +79,46 @@ def enforce_instance_monotonicity(
 
     For each instance, samples are scanned in ``x`` order keeping a running
     maximum of ``y``; a sample whose ``y`` falls more than ``tolerance``
-    below the running maximum is dropped.
+    below the running maximum is dropped.  A dropped sample lies below
+    that maximum, so it never raises it: the maximum over the kept
+    samples before a point equals the maximum over *all* samples before
+    it, and the whole mask is one segmented running max with no loop.
+    A NaN ``y`` is kept and does not raise the maximum.
     """
     if tolerance < 0:
         raise FoldingError(f"tolerance must be >= 0, got {tolerance}")
-    keep = np.ones(folded.n_points, dtype=bool)
-    # Arrays are globally x-sorted, so a stable pass per instance works on
-    # the positions of that instance's points.
-    for instance in np.unique(folded.instance_ids):
-        positions = np.flatnonzero(folded.instance_ids == instance)
-        running = -np.inf
-        for pos in positions:
-            y = folded.y[pos]
-            if y < running - tolerance:
-                keep[pos] = False
-            else:
-                running = max(running, y)
+    running = _running_instance_max(folded.y, folded.instance_ids)
+    keep = ~(folded.y < running - tolerance)
     report = FilterReport(
         filter_name="instance_monotonicity",
         n_before=folded.n_points,
         n_dropped=int(np.sum(~keep)),
     )
     return folded.replaced(keep), report
+
+
+def _running_instance_max(y: np.ndarray, instance_ids: np.ndarray) -> np.ndarray:
+    """Per point, the max ``y`` over its instance up to and including it.
+
+    Points are taken in array (``x``) order, NaN ``y`` never counts, and
+    a point with no non-NaN ``y`` so far gets ``-inf``.  Including the
+    point itself changes no decision: a point that is the max is never
+    below it.  The values are ranked once, so the running max runs on
+    exact integer keys ``segment * (n + 1) + rank``: every key of an
+    earlier instance is below the current instance's base, which makes
+    one ``np.maximum.accumulate`` over the instance-sorted keys a
+    segmented max.  O(n) memory.
+    """
+    n = y.size
+    by_value = np.argsort(y, kind="stable")  # NaN sorts last
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_value] = np.arange(1, n + 1)
+    rank[np.isnan(y)] = 0
+    order = np.argsort(instance_ids, kind="stable")
+    ids = instance_ids[order]
+    base = np.cumsum(ids != np.r_[ids[:1], ids[:-1]]) * (n + 1)
+    best = np.maximum.accumulate(base + rank[order]) - base
+    running = np.full(n, -np.inf)
+    seen = best > 0
+    running[order[seen]] = y[by_value[best[seen] - 1]]
+    return running

@@ -18,40 +18,70 @@ __all__ = ["EventDictionary"]
 
 @dataclass
 class EventDictionary:
-    """Bidirectional id <-> name maps for counters and state kinds."""
+    """Bidirectional id <-> name maps for counters and state kinds.
+
+    The forward maps (``counter_ids``, ``state_ids``) are the data; the
+    reverse maps behind :meth:`counter_name`/:meth:`state_name` and
+    :attr:`counter_names_by_text` are derived from them and kept in step
+    by :meth:`counter_id`, :meth:`state_id` and :meth:`from_lines`, so
+    change the forward maps only through those.  When two names share an
+    id, the reverse lookup answers the one inserted first.
+    """
 
     counter_ids: Dict[str, int] = field(default_factory=dict)
     state_ids: Dict[str, int] = field(default_factory=dict)
     _next_counter_id: int = 42000000
     _next_state_id: int = 1
 
+    def __post_init__(self) -> None:
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the reverse maps from the forward maps."""
+        self._counter_names: Dict[int, str] = {}
+        for name, cid in self.counter_ids.items():
+            self._counter_names.setdefault(cid, name)
+        self._state_names: Dict[int, str] = {}
+        for name, sid in self.state_ids.items():
+            self._state_names.setdefault(sid, name)
+        #: ``{str(id): name}`` for every counter id, so a reader can look
+        #: up an id's canonical text without converting it first.
+        self.counter_names_by_text: Dict[str, str] = {
+            str(cid): name for cid, name in self._counter_names.items()
+        }
+
     def counter_id(self, name: str) -> int:
         """Id of counter ``name``, allocating on first use."""
         if name not in self.counter_ids:
-            self.counter_ids[name] = self._next_counter_id
+            cid = self._next_counter_id
+            self.counter_ids[name] = cid
             self._next_counter_id += 1
+            self._counter_names.setdefault(cid, name)
+            self.counter_names_by_text.setdefault(str(cid), name)
         return self.counter_ids[name]
 
     def state_id(self, name: str) -> int:
         """Id of state kind ``name``, allocating on first use."""
         if name not in self.state_ids:
-            self.state_ids[name] = self._next_state_id
+            sid = self._next_state_id
+            self.state_ids[name] = sid
             self._next_state_id += 1
+            self._state_names.setdefault(sid, name)
         return self.state_ids[name]
 
     def counter_name(self, cid: int) -> str:
         """Reverse lookup of a counter id."""
-        for name, known in self.counter_ids.items():
-            if known == cid:
-                return name
-        raise TraceFormatError(f"counter id {cid} not in event dictionary")
+        try:
+            return self._counter_names[cid]
+        except KeyError:
+            raise TraceFormatError(f"counter id {cid} not in event dictionary") from None
 
     def state_name(self, sid: int) -> str:
         """Reverse lookup of a state id."""
-        for name, known in self.state_ids.items():
-            if known == sid:
-                return name
-        raise TraceFormatError(f"state id {sid} not in event dictionary")
+        try:
+            return self._state_names[sid]
+        except KeyError:
+            raise TraceFormatError(f"state id {sid} not in event dictionary") from None
 
     # ------------------------------------------------------------------
     # serialization
@@ -97,4 +127,5 @@ class EventDictionary:
                 raise TraceFormatError(
                     f"dictionary entry before section header: {raw!r}"
                 )
+        dictionary._reindex()
         return dictionary

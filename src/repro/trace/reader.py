@@ -231,13 +231,18 @@ def _parse_counters(
 ) -> Dict[str, float]:
     if token == "-":
         return {}
+    names = dictionary.counter_names_by_text
     counters: Dict[str, float] = {}
     for item in token.split(","):
-        if "=" not in item:
+        cid_text, eq, value_text = item.partition("=")
+        if not eq:
             _fail(lineno, f"malformed counter item {item!r}", "malformed-record")
-        cid_text, value_text = item.split("=", 1)
+        # Ids in canonical text hit the table; any other spelling that
+        # int() accepts (``042000010``) resolves after the value check.
+        name = names.get(cid_text)
         try:
-            cid = int(cid_text)
+            if name is None:
+                cid = int(cid_text)
             value = float(value_text)
         except ValueError:
             _fail(lineno, f"malformed counter item {item!r}", "malformed-record")
@@ -250,10 +255,11 @@ def _parse_counters(
                 )
             report.drop_counter(lineno, item)
             continue
-        try:
-            name = dictionary.counter_name(cid)
-        except TraceFormatError:
-            _fail(lineno, f"counter id {cid} not in event dictionary", "unknown-id")
+        if name is None:
+            try:
+                name = dictionary.counter_name(cid)
+            except TraceFormatError:
+                _fail(lineno, f"counter id {cid} not in event dictionary", "unknown-id")
         counters[name] = value
     return counters
 

@@ -29,11 +29,15 @@ __all__ = [
     "PWLCase",
     "CloudCase",
     "BurstCase",
+    "MonotonicityCase",
     "BoundaryCase",
     "pwl_datasets",
     "point_clouds",
     "grid_edge_cloud",
+    "grid_table_clouds",
+    "stride_overflow_cloud",
     "burst_clusters",
+    "monotonicity_cases",
     "boundary_sets",
     "random_models",
     "write_case_traces",
@@ -182,6 +186,42 @@ def grid_edge_cloud(seed: int, n: int = 400, eps: float = 0.25) -> CloudCase:
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 12, size=(n, 2)).astype(float) * eps
     return CloudCase("grid_edge", pts, eps, min_pts=6)
+
+
+def _blobs(
+    rng: np.random.Generator, n: int, d: int, n_centers: int, spread: float, scale: float
+) -> np.ndarray:
+    """``n`` points around ``n_centers`` uniform centers in [0, spread]^d."""
+    centers = rng.uniform(0.0, spread, size=(n_centers, d))
+    return centers[rng.integers(0, n_centers, size=n)] + rng.normal(0.0, scale, size=(n, d))
+
+
+def grid_table_clouds(seed: int, n: int = 2048) -> List[CloudCase]:
+    """Geometries the grid table must index like any other: a sparse
+    cloud (far more occupied cells than n/4), all-negative coordinates,
+    and d = 6 (3^6 neighbor offsets).  ``n`` reaches the size at which
+    ``estimate_eps`` takes its grid path."""
+    rng = np.random.default_rng(seed)
+    sparse = np.concatenate(
+        [_blobs(rng, n // 4, 3, 6, 4.0, 0.05), rng.uniform(-1.0, 5.0, size=(n - n // 4, 3))]
+    )
+    negative = _blobs(rng, n, 3, 8, 10.0, 0.2) - 1.0e3
+    six = _blobs(rng, n, 6, 10, 8.0, 0.15)
+    return [
+        CloudCase("grid_sparse", sparse, 0.05, min_pts=4),
+        CloudCase("grid_negative", negative, 0.5, min_pts=6),
+        CloudCase("grid_d6", six, 0.6, min_pts=6),
+    ]
+
+
+def stride_overflow_cloud(seed: int, n: int = 2048) -> CloudCase:
+    """Tight d = 6 blobs spread so far apart that the grid's linear cell
+    ids would overflow int64 (2e4-3e4 cells per axis at the DBSCAN eps and
+    at the k-dist cell size alike), while every single coordinate stays
+    small: the table must refuse it and the blocked path answer."""
+    rng = np.random.default_rng(seed)
+    points = _blobs(rng, n, 6, 64, 1.0e4, 0.1)
+    return CloudCase("grid_stride_overflow", points, 0.5, min_pts=6)
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +383,49 @@ def burst_clusters(seed: int, full: bool = False) -> List[BurstCase]:
             expect_error=True,
         )
     )
+    return cases
+
+
+@dataclass
+class MonotonicityCase:
+    name: str
+    y: np.ndarray
+    instance_ids: np.ndarray
+    tolerance: float = 1e-9
+
+
+def monotonicity_cases(seed: int, full: bool = False) -> List[MonotonicityCase]:
+    """Inputs for the per-instance monotonicity filter: noisy interleaved
+    instances plus exact ties, NaN/inf values, one-point instances and
+    the empty set."""
+    rng = np.random.default_rng(seed)
+    n = 400 if full else 200
+    cases: List[MonotonicityCase] = []
+    # Noisy accumulations, instances interleaved the way an x-sorted fold
+    # interleaves them: many dips, some deep enough to shadow later points.
+    ids = rng.integers(0, 12, size=n)
+    y = np.cumsum(rng.uniform(0.0, 1.0, size=n)) / n + rng.normal(0.0, 0.05, size=n)
+    cases.append(MonotonicityCase("interleaved", y, ids))
+    # Points exactly ``tolerance`` below the running max are kept, points
+    # one step further are dropped (all values exact in binary).
+    y = np.array([1.0, 0.75, 0.5, 1.0, 0.875, 0.625, 0.25, 0.5, 0.0, 0.25])
+    ids = np.array([0, 0, 0, 1, 0, 1, 2, 2, 2, 1])
+    cases.append(MonotonicityCase("ties_at_tolerance", y, ids, tolerance=0.25))
+    ties = np.repeat(rng.uniform(0.0, 1.0, size=n // 4), 4)
+    ids = rng.integers(0, 3, size=ties.size)
+    cases.append(MonotonicityCase("equal_values", ties, ids, tolerance=0.0))
+    # NaN never raises the max and is always kept, also as an instance's
+    # first point; +/-inf take part like any value.
+    y = rng.uniform(0.0, 1.0, size=n)
+    y[rng.choice(n, size=n // 8, replace=False)] = np.nan
+    y[:3] = np.nan
+    y[rng.choice(n, size=4, replace=False)] = np.inf
+    y[rng.choice(n, size=4, replace=False)] = -np.inf
+    cases.append(MonotonicityCase("non_finite_y", y, rng.integers(0, 8, size=n)))
+    one = rng.uniform(0.0, 1.0, size=n // 4)
+    cases.append(MonotonicityCase("one_point_instances", one, rng.permutation(one.size)))
+    cases.append(MonotonicityCase("single_point", np.array([0.5]), np.array([3])))
+    cases.append(MonotonicityCase("empty", np.empty(0), np.empty(0, dtype=np.int64)))
     return cases
 
 

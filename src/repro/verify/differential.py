@@ -352,6 +352,50 @@ def _suite_fold(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     return len(cases), out
 
 
+@_suite("filters")
+def _suite_filters(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
+    """enforce_instance_monotonicity's segmented running max vs the
+    scalar per-instance scan — keep-masks bit-exact, on the folded burst
+    corpora and on adversarial y / instance layouts."""
+    from repro.folding.filtering import enforce_instance_monotonicity
+    from repro.folding.fold import FoldedCounter, fold_cluster
+    from repro.verify.corpus import burst_clusters, monotonicity_cases
+    from repro.verify.oracles import oracle_instance_monotonicity
+
+    inputs = [
+        (case.name, case.y, case.instance_ids, case.tolerance)
+        for case in monotonicity_cases(ctx.seed, ctx.full)
+    ]
+    for case in burst_clusters(ctx.seed, ctx.full):
+        if case.expect_error:
+            continue
+        folded = fold_cluster(
+            case.instances, case.counters,
+            min_points=case.min_points, required=case.required,
+        )
+        for counter, fc in folded.items():
+            inputs.append((f"{case.name}.{counter}", fc.y, fc.instance_ids, 1e-9))
+    out: List[Divergence] = []
+    for name, y, ids, tolerance in inputs:
+        # Unique x values make the kept x identify the keep-mask exactly.
+        x = np.arange(y.size, dtype=float)
+        folded = FoldedCounter(
+            "c", x, y, ids, n_instances=1, mean_duration=1.0, mean_total=1.0
+        )
+        kept, report = enforce_instance_monotonicity(folded, tolerance=tolerance)
+        want = np.asarray(
+            oracle_instance_monotonicity(y.tolist(), ids.tolist(), tolerance), dtype=bool
+        )
+        d = _compare_arrays(
+            "filters", name, ctx.seed, "kept positions", kept.x, x[want]
+        ) or _compare_exact(
+            "filters", name, ctx.seed, "n_dropped", report.n_dropped, int(np.sum(~want))
+        )
+        if d:
+            out.append(d)
+    return len(inputs), out
+
+
 @_suite("pwlr_lstsq")
 def _suite_pwlr_lstsq(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     """fit_fixed_breakpoints (lstsq / scipy nnls) vs normal equations +
@@ -553,16 +597,33 @@ def _suite_dbscan_backends(ctx: SelftestContext) -> Tuple[int, List[Divergence]]
     """Grid vs blocked neighborhood backends — byte-identical labels,
     including the cell-edge geometry where distances equal eps exactly."""
     from repro.clustering.dbscan import DBSCAN
-    from repro.verify.corpus import grid_edge_cloud, point_clouds
+    from repro.verify.corpus import (
+        grid_edge_cloud,
+        grid_table_clouds,
+        point_clouds,
+        stride_overflow_cloud,
+    )
 
     out: List[Divergence] = []
-    cases = point_clouds(ctx.seed, ctx.full) + [grid_edge_cloud(ctx.seed)]
+    overflow = stride_overflow_cloud(ctx.seed)
+    cases = (
+        point_clouds(ctx.seed, ctx.full)
+        + [grid_edge_cloud(ctx.seed)]
+        + grid_table_clouds(ctx.seed)
+        + [overflow]
+    )
     for case in cases:
-        grid = DBSCAN(case.eps, min_pts=case.min_pts, index="grid").fit(case.points)
+        # The overflow geometry cannot be gridded: "auto" must fall back.
+        index = "auto" if case is overflow else "grid"
+        fast = DBSCAN(case.eps, min_pts=case.min_pts, index=index)
+        labels = fast.fit(case.points).labels
         blocked = DBSCAN(case.eps, min_pts=case.min_pts, index="blocked").fit(case.points)
         d = _compare_arrays(
             "dbscan_backends", case.name, ctx.seed, "labels",
-            grid.labels, blocked.labels,
+            labels, blocked.labels,
+        ) or _compare_exact(
+            "dbscan_backends", case.name, ctx.seed, "backend used",
+            fast._last_index_used, "blocked" if case is overflow else "grid",
         )
         if d:
             out.append(d)
@@ -596,8 +657,12 @@ def _suite_eps(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     """estimate_eps (norms-identity k-dist + np.quantile) vs the naive
     quadratic scan + scalar quantile — tolerance for the fp differences
     between the two distance formulations."""
-    from repro.clustering.dbscan import estimate_eps
-    from repro.verify.corpus import point_clouds
+    from repro.clustering.dbscan import _kdist_grid, _kdist_rows, estimate_eps
+    from repro.verify.corpus import (
+        grid_table_clouds,
+        point_clouds,
+        stride_overflow_cloud,
+    )
     from repro.verify.oracles import oracle_estimate_eps
 
     out: List[Divergence] = []
@@ -610,7 +675,32 @@ def _suite_eps(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
         )
         if d:
             out.append(d)
-    return len(cases), out
+    # Grid-table geometries, large enough for the grid k-dist path and too
+    # large for the scalar oracle: every point's grid k-dist vs the blocked
+    # full-row scan (itself checked against the oracle above).
+    overflow = stride_overflow_cloud(ctx.seed)
+    grid_cases = grid_table_clouds(ctx.seed) + [overflow]
+    for case in grid_cases:
+        points = case.points
+        norms = np.einsum("ij,ij->i", points, points)
+        want = _kdist_rows(points, norms, 4, np.arange(len(points), dtype=np.intp))
+        got = _kdist_grid(points, norms, 4)
+        if case is overflow:
+            d = _compare_exact(
+                "eps", case.name, ctx.seed, "grid k-dist refused", got is None, True
+            ) or _compare_exact(
+                "eps", case.name, ctx.seed, "eps",
+                estimate_eps(points, k=4), float(np.quantile(want, 0.95)) * 3.0,
+            )
+        elif got is None:
+            d = Divergence("eps", case.name, ctx.seed, "grid k-dist path not taken")
+        else:
+            d = _compare_arrays(
+                "eps", case.name, ctx.seed, "k-dist", got, want, rtol=1e-6, atol=1e-9
+            )
+        if d:
+            out.append(d)
+    return len(cases) + len(grid_cases), out
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.errors import VerificationError
 __all__ = [
     "OracleFold",
     "oracle_fold_cluster",
+    "oracle_instance_monotonicity",
     "oracle_fit_fixed_breakpoints",
     "oracle_predict",
     "oracle_slope_at",
@@ -136,6 +137,31 @@ def oracle_fold_cluster(
             mean_total=sum(totals) / len(totals),
         )
     return folded, drops
+
+
+def oracle_instance_monotonicity(
+    y: Sequence[float], instance_ids: Sequence[int], tolerance: float = 1e-9
+) -> List[bool]:
+    """Keep-mask of the per-instance monotonicity filter, by scalar scan.
+
+    Each instance's points are visited in array (``x``) order with a
+    running maximum of the *kept* ``y``; a point more than ``tolerance``
+    below it is dropped.  ``max`` ignores a NaN ``y`` (NaN compares
+    false), so a NaN is kept and never raises the maximum.
+    """
+    keep = [True] * len(y)
+    positions: Dict[int, List[int]] = {}
+    for pos, instance in enumerate(instance_ids):
+        positions.setdefault(int(instance), []).append(pos)
+    for members in positions.values():
+        running = -math.inf
+        for pos in members:
+            value = float(y[pos])
+            if value < running - tolerance:
+                keep[pos] = False
+            else:
+                running = max(running, value)
+    return keep
 
 
 # ----------------------------------------------------------------------

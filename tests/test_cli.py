@@ -52,9 +52,38 @@ class TestCliTraceStatsAnalyze:
         assert "Folding analysis" in out
         assert "MIPS" in out
 
-    def test_stats_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            main(["stats", "/nonexistent/trace.rpt"])
+    def test_stats_missing_file(self, capsys):
+        assert main(["stats", "/nonexistent/trace.rpt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stats: ") and "/nonexistent/trace.rpt" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "stats"])
+    @pytest.mark.parametrize("damage", ["junk-tail", "missing"])
+    def test_unreadable_input_fails_with_one_line(
+        self, trace_path, tmp_path, command, damage
+    ):
+        import os
+        import subprocess
+        import sys
+
+        path = tmp_path / "input.rpt"
+        if damage == "junk-tail":
+            with open(trace_path, encoding="utf-8") as handle:
+                path.write_text(handle.read() + "Z junk line\n", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "-q", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{command}: ")
+        if damage == "junk-tail":
+            assert "unknown record tag" in lines[0] and "--salvage" in lines[0]
+        else:
+            assert "No such file or directory" in lines[0]
 
 
 class TestCliCheck:

@@ -180,6 +180,49 @@ class TestGridIndex:
         with pytest.raises(ClusteringError):
             DBSCAN(eps=1.0, index="kdtree")
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grid_table_edge_geometries_identical(self, seed):
+        from repro.clustering.dbscan import _grid_table
+        from repro.verify.corpus import grid_table_clouds
+
+        sparse, negative, six = grid_table_clouds(seed)
+        n = len(sparse.points)
+        assert _grid_table(sparse.points, sparse.eps).n_cells > n // 4
+        assert np.all(negative.points < 0.0)
+        assert six.points.shape[1] == 6
+        for case in (sparse, negative, six):
+            self._assert_identical(case.points, case.eps, case.min_pts)
+
+    def test_grid_table_candidates_are_the_neighbor_cells(self):
+        from repro.clustering.dbscan import _grid_table
+
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-3.0, 3.0, size=(300, 3))
+        cell = 0.7
+        table = _grid_table(points, cell)
+        coords = np.floor((points - points.min(axis=0)) / cell).astype(int)
+        for c in range(table.n_cells):
+            members = table.members(c)
+            assert np.all(np.diff(members) > 0)
+            home = coords[members[0]]
+            assert np.all(coords[members] == home)
+            near = np.flatnonzero(np.all(np.abs(coords - home) <= 1, axis=1))
+            assert table.candidates(c).tolist() == near.tolist()
+
+    def test_stride_overflow_falls_back_to_blocked(self):
+        from repro.clustering.dbscan import _grid_table
+        from repro.verify.corpus import stride_overflow_cloud
+
+        case = stride_overflow_cloud(0)
+        assert _grid_table(case.points, case.eps) is None
+        auto = DBSCAN(eps=case.eps, min_pts=case.min_pts)
+        labels = auto.fit(case.points).labels
+        assert auto._last_index_used == "blocked"
+        blocked = DBSCAN(eps=case.eps, min_pts=case.min_pts, index="blocked")
+        assert labels.tobytes() == blocked.fit(case.points).labels.tobytes()
+        with pytest.raises(ClusteringError, match="cannot be gridded"):
+            DBSCAN(eps=case.eps, min_pts=case.min_pts, index="grid").fit(case.points)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_estimate_eps_grid_matches_exact(self, seed):

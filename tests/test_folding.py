@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clustering.bursts import extract_bursts
 from repro.errors import FoldingError
@@ -318,6 +319,25 @@ class TestFilters:
         kept, report = enforce_instance_monotonicity(folded)
         assert report.n_dropped == 1
         assert 0.3 not in kept.y
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_monotonicity_matches_scalar_scan(self, seed):
+        from repro.verify.oracles import oracle_instance_monotonicity
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        y = np.round(rng.normal(0.0, 1.0, size=n), 1)  # rounding makes ties
+        y[rng.random(n) < 0.1] = np.nan
+        ids = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        tolerance = float(rng.choice([0.0, 1e-9, 0.1]))
+        folded = self._folded(np.arange(n, dtype=float), y, ids=ids)
+        kept, report = enforce_instance_monotonicity(folded, tolerance=tolerance)
+        want = np.asarray(
+            oracle_instance_monotonicity(y.tolist(), ids.tolist(), tolerance), dtype=bool
+        )
+        assert kept.x.tolist() == np.flatnonzero(want).tolist()
+        assert report.n_dropped == int(np.sum(~want))
 
     def test_monotonicity_keeps_clean_data(self, folded_ins):
         kept, report = enforce_instance_monotonicity(folded_ins)

@@ -93,9 +93,25 @@ class TestEventDictionary:
     def test_reverse_lookup(self):
         d = EventDictionary()
         cid = d.counter_id("PAPI_X")
+        sid = d.state_id("compute")
         assert d.counter_name(cid) == "PAPI_X"
+        assert d.state_name(sid) == "compute"
+        assert d.counter_names_by_text == {str(cid): "PAPI_X"}
         with pytest.raises(TraceFormatError):
             d.counter_name(999)
+        with pytest.raises(TraceFormatError):
+            d.state_name(999)
+        # Loaded maps: a shared id answers the name listed first, and a
+        # name listed twice keeps only its last id.
+        loaded = EventDictionary.from_lines(
+            ["[counters]", "7 A", "7 B", "8 C", "9 C", "[states]", "1 compute"]
+        )
+        assert loaded.counter_name(7) == "A"
+        assert loaded.counter_name(9) == "C"
+        with pytest.raises(TraceFormatError):
+            loaded.counter_name(8)
+        assert loaded.counter_names_by_text == {"7": "A", "9": "C"}
+        assert loaded.state_name(1) == "compute"
 
     def test_lines_round_trip(self):
         d = EventDictionary()
@@ -176,6 +192,15 @@ class TestRoundTrip:
         )
         with pytest.raises(TraceFormatError):
             load_trace_text(text)
+        # An id spelled other than its canonical text still resolves.
+        text = (
+            "#REPRO-TRACE v1\nranks 1\n[dict]\n[counters]\n42000010 PAPI_X\n"
+            "[records]\nP 0 0.5 042000010=1.0 -\nP 0 0.6 +42000010=2.0 -\n"
+        )
+        samples = load_trace_text(text).samples
+        assert [s.counters for s in samples] == [{"PAPI_X": 1.0}, {"PAPI_X": 2.0}]
+        with pytest.raises(TraceFormatError, match="counter id 42000011 not in"):
+            load_trace_text(text.replace("+42000010", "042000011"))
 
 
 class TestMerge:

@@ -40,6 +40,7 @@ class TestRunner:
         # the oracle equivalence suites the issue mandates
         for required in (
             "fold",
+            "filters",
             "pwlr_lstsq",
             "predict",
             "bic",
@@ -157,3 +158,16 @@ class TestOracleSpotChecks:
 
         pts = [[1.0, 2.0]] * 30
         assert oracle_estimate_eps(pts, k=4) == 1e-9
+
+    def test_oracle_monotonicity_known_answer(self):
+        from repro.verify.oracles import oracle_instance_monotonicity
+
+        y = [0.2, 0.5, 0.3, math.nan, 0.9, 0.4, 0.45]
+        ids = [0, 0, 0, 0, 0, 1, 0]
+        # 0.3 dips below 0.5; NaN is kept and leaves the max at 0.5, so
+        # 0.45 dips below 0.9; instance 1 is independent.
+        assert oracle_instance_monotonicity(y, ids) == [
+            True, True, False, True, True, True, False,
+        ]
+        assert oracle_instance_monotonicity([1.0, 0.75], [0, 0], 0.25) == [True, True]
+        assert oracle_instance_monotonicity([], []) == []
