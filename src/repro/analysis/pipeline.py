@@ -12,7 +12,6 @@ reason, never silently dropped.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,10 +44,9 @@ from repro.folding.filtering import (
 from repro.folding.fold import FoldedCounter, fold_cluster
 from repro.folding.instances import ClusterInstances, select_instances
 from repro.folding.reconstruct import Reconstruction
-from repro.observability.context import DISABLED, Observability, current
+from repro.observability.context import DISABLED, current
 from repro.observability.context import counter as _metric_counter
 from repro.observability.context import span as _span
-from repro.observability.spans import SpanRecord
 from repro.observability.logs import progress
 from repro.observability.spans import Profile
 from repro.phases.detect import PhaseSet, detect_phases
@@ -58,7 +56,14 @@ from repro.trace.reader import SalvageReport
 from repro.trace.records import Trace
 from repro.trace.stats import TraceStats, compute_stats
 
-__all__ = ["AnalyzerConfig", "ClusterAnalysis", "AnalysisResult", "FoldingAnalyzer"]
+__all__ = [
+    "AnalyzerConfig",
+    "ClusterAnalysis",
+    "AnalysisResult",
+    "FoldingAnalyzer",
+    "analyze_cluster",
+    "cluster_features",
+]
 
 
 @dataclass(frozen=True)
@@ -85,15 +90,6 @@ class AnalyzerConfig:
     to force the no-op path even under an enabled context;
     ``progress_every`` emits a ``repro.progress`` log line every N-th
     cluster (1 = every cluster) so long runs stay visibly alive.
-
-    ``n_jobs`` (default 1 = serial) fans the per-cluster analysis out
-    over a process pool.  Results are deterministic and identical to the
-    serial path: clusters are dispatched and collected in cluster-id
-    order, each worker's diagnostics merge into the main record in that
-    order, and each worker's stage spans attach under the corresponding
-    ``cluster`` span of the main profile (worker span timestamps are
-    relative to the worker process, so the hotspot *totals* are exact
-    while cross-process timeline alignment is approximate).
     """
 
     counters: Optional[Tuple[str, ...]] = None
@@ -114,7 +110,6 @@ class AnalyzerConfig:
     degraded_mode: bool = True
     profile: bool = True
     progress_every: int = 1
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.min_pts < 1:
@@ -143,8 +138,6 @@ class AnalyzerConfig:
             raise AnalysisError(
                 f"progress_every must be an int >= 1: {self.progress_every!r}"
             )
-        if not isinstance(self.n_jobs, int) or self.n_jobs < 1:
-            raise AnalysisError(f"n_jobs must be an int >= 1: {self.n_jobs!r}")
 
 
 @dataclass
@@ -237,37 +230,6 @@ class AnalysisResult:
         return max(self.clusters, key=lambda c: c.time_share)
 
 
-def _analyze_cluster_task(payload):
-    """Process-pool worker: analyze one cluster in isolation.
-
-    The payload carries the cluster's own bursts with synthetic uniform
-    labels, so member selection inside ``_analyze_cluster`` reproduces the
-    serial path exactly.  Returns ``(analysis, error, diagnostics,
-    span_roots)``: tolerated per-cluster errors (folding/fitting/phase)
-    come back as values for the parent to apply its degraded-mode policy;
-    anything else propagates and aborts the pool, matching serial
-    fail-fast semantics.  When the parent is profiling, the worker records
-    its own span tree for the parent to graft under its ``cluster`` span.
-    """
-    cfg, bursts, cluster_id, counters, share, profiled = payload
-    diagnostics = Diagnostics()
-    labels = np.full(len(bursts), cluster_id, dtype=int)
-    obs = Observability() if profiled else DISABLED
-    analyzer = FoldingAnalyzer(cfg)
-    analysis: Optional[ClusterAnalysis] = None
-    error: Optional[Exception] = None
-    try:
-        with obs.activate():
-            analysis = analyzer._analyze_cluster(
-                bursts, labels, cluster_id, counters, share, diagnostics
-            )
-    except (FoldingError, FittingError, PhaseError) as exc:
-        error = exc
-    profile = obs.profile()
-    roots: List[SpanRecord] = profile.roots if profile is not None else []
-    return analysis, error, diagnostics, roots
-
-
 class FoldingAnalyzer:
     """Trace → :class:`AnalysisResult` (the paper's mechanism end to end)."""
 
@@ -340,7 +302,7 @@ class FoldingAnalyzer:
         bursts, features = self._build_features(bursts, diagnostics)
         progress("clustering %d bursts", len(bursts))
         with _span("clustering", n_bursts=len(bursts)):
-            clustering = self._cluster(features, diagnostics)
+            clustering = cluster_features(features.values, cfg, diagnostics)
         progress(
             "found %d cluster(s) (%.1f%% noise), analyzing",
             clustering.n_clusters,
@@ -378,50 +340,41 @@ class FoldingAnalyzer:
                 continue
             pending.append((cluster_id, members, share))
 
-        if cfg.n_jobs > 1 and len(pending) > 1:
-            self._analyze_clusters_parallel(
-                bursts,
-                counters,
-                pending,
-                clustering,
-                cluster_errors,
-                clusters,
-                skipped,
-                diagnostics,
-            )
-        else:
-            for cluster_id, members, share in pending:
-                if cluster_id % cfg.progress_every == 0:
-                    progress(
-                        "cluster %d/%d: %d members, %.1f%% of compute time",
-                        cluster_id + 1,
-                        clustering.n_clusters,
-                        members.size,
-                        share * 100.0,
-                    )
-                try:
-                    with _span(
-                        "cluster",
-                        cluster_id=cluster_id,
-                        n_members=int(members.size),
-                    ):
-                        clusters.append(
-                            self._analyze_cluster(
-                                bursts,
-                                clustering.labels,
-                                cluster_id,
-                                counters,
-                                share,
-                                diagnostics,
-                            )
+        # Threshold skips are recorded for every cluster before any is
+        # analyzed, so the diagnostics read in that order.
+        for cluster_id, members, share in pending:
+            if cluster_id % cfg.progress_every == 0:
+                progress(
+                    "cluster %d/%d: %d members, %.1f%% of compute time",
+                    cluster_id + 1,
+                    clustering.n_clusters,
+                    members.size,
+                    share * 100.0,
+                )
+            try:
+                with _span(
+                    "cluster",
+                    cluster_id=cluster_id,
+                    n_members=int(members.size),
+                ):
+                    clusters.append(
+                        analyze_cluster(
+                            cfg,
+                            bursts,
+                            clustering.labels,
+                            cluster_id,
+                            counters,
+                            share,
+                            diagnostics,
                         )
-                except cluster_errors as exc:
-                    skipped[cluster_id] = str(exc)
-                    diagnostics.error(
-                        "analysis",
-                        f"cluster {cluster_id} skipped: {exc}",
-                        cluster_id=cluster_id,
                     )
+            except cluster_errors as exc:
+                skipped[cluster_id] = str(exc)
+                diagnostics.error(
+                    "analysis",
+                    f"cluster {cluster_id} skipped: {exc}",
+                    cluster_id=cluster_id,
+                )
         if not clusters:
             raise AnalysisError(
                 f"no cluster could be analyzed; skipped: {skipped}"
@@ -565,222 +518,174 @@ class FoldingAnalyzer:
             bursts = bursts.subset([int(i) for i in good])
             return bursts, build_features(bursts)
 
-    def _cluster(
-        self, features: FeatureMatrix, diagnostics: Diagnostics
-    ) -> DBSCANResult:
-        cfg = self.config
-        if cfg.use_refinement:
-            return refine_clusters(features.values, min_pts=cfg.min_pts)
-        if cfg.eps is not None:
-            # Caller pinned the radius: no fallback second-guesses it.
-            return DBSCAN(eps=cfg.eps, min_pts=cfg.min_pts).fit(features.values)
-        eps: Optional[float] = None
-        try:
-            eps = estimate_eps(features.values, k=cfg.min_pts)
-            if eps <= 1e-8:
-                raise ClusteringError(
-                    f"k-dist eps estimate degenerate ({eps}); geometry has "
-                    f"no usable k-th neighbor scale"
-                )
-        except ClusteringError as exc:
-            if not cfg.degraded_mode:
-                raise
-            diagnostics.degraded(
-                "clustering",
-                "k-dist eps estimation failed; pairwise-quantile fallback used",
-                error=str(exc),
-            )
-        if eps is not None and eps > 1e-8:
-            result = DBSCAN(eps=eps, min_pts=cfg.min_pts).fit(features.values)
-            if result.n_clusters > 0 or not cfg.degraded_mode:
-                return result
-            diagnostics.degraded(
-                "clustering",
-                "k-dist eps yielded zero clusters; "
-                "retrying with pairwise-quantile fallback",
-                eps=eps,
-            )
-        fallback_eps = estimate_eps_quantile(features.values)
-        return DBSCAN(eps=fallback_eps, min_pts=cfg.min_pts).fit(features.values)
 
-    def _analyze_clusters_parallel(
-        self,
-        bursts: BurstSet,
-        counters: Sequence[str],
-        pending: List[Tuple[int, np.ndarray, float]],
-        clustering: DBSCANResult,
-        cluster_errors,
-        clusters: List[ClusterAnalysis],
-        skipped: Dict[int, str],
-        diagnostics: Diagnostics,
-    ) -> None:
-        """Fan ``_analyze_cluster`` out over a process pool.
+def cluster_features(
+    values: np.ndarray, cfg: AnalyzerConfig, diagnostics: Diagnostics
+) -> DBSCANResult:
+    """DBSCAN over standardized burst features, with the eps fallbacks.
 
-        Deterministic by construction: clusters are submitted and
-        collected in cluster-id order (``Executor.map`` preserves input
-        order), so the appended analyses, skip records, and merged
-        diagnostics match the serial path event for event.  Each worker
-        receives only its cluster's bursts (with synthetic uniform
-        labels), which keeps pickling traffic proportional to the work.
-        """
-        cfg = self.config
-        profiled = cfg.profile and current().enabled
-        payloads = [
-            (
-                cfg,
-                bursts.subset([int(i) for i in members]),
-                cluster_id,
-                list(counters),
-                share,
-                profiled,
+    ``cfg.use_refinement`` selects multi-density refinement and a pinned
+    ``cfg.eps`` is used as given.  Otherwise the radius is the k-dist
+    estimate; in degraded mode, a degenerate estimate or one that yields
+    zero clusters falls back to the pairwise-quantile radius, recorded as
+    a ``clustering`` entry at DEGRADED in ``diagnostics``.  The batch
+    pipeline and the online cluster model both cluster through here.
+    """
+    if cfg.use_refinement:
+        return refine_clusters(values, min_pts=cfg.min_pts)
+    if cfg.eps is not None:
+        # Caller pinned the radius: no fallback second-guesses it.
+        return DBSCAN(eps=cfg.eps, min_pts=cfg.min_pts).fit(values)
+    eps: Optional[float] = None
+    try:
+        eps = estimate_eps(values, k=cfg.min_pts)
+        if eps <= 1e-8:
+            raise ClusteringError(
+                f"k-dist eps estimate degenerate ({eps}); geometry has "
+                f"no usable k-th neighbor scale"
             )
-            for cluster_id, members, share in pending
-        ]
-        n_workers = min(cfg.n_jobs, len(pending))
-        with _span("cluster_pool", n_jobs=n_workers, n_clusters=len(pending)):
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                outcomes = list(pool.map(_analyze_cluster_task, payloads))
-        for (cluster_id, members, share), outcome in zip(pending, outcomes):
-            if cluster_id % cfg.progress_every == 0:
-                progress(
-                    "cluster %d/%d: %d members, %.1f%% of compute time",
-                    cluster_id + 1,
-                    clustering.n_clusters,
-                    members.size,
-                    share * 100.0,
+    except ClusteringError as exc:
+        if not cfg.degraded_mode:
+            raise
+        diagnostics.degraded(
+            "clustering",
+            "k-dist eps estimation failed; pairwise-quantile fallback used",
+            error=str(exc),
+        )
+    if eps is not None and eps > 1e-8:
+        result = DBSCAN(eps=eps, min_pts=cfg.min_pts).fit(values)
+        if result.n_clusters > 0 or not cfg.degraded_mode:
+            return result
+        diagnostics.degraded(
+            "clustering",
+            "k-dist eps yielded zero clusters; "
+            "retrying with pairwise-quantile fallback",
+            eps=eps,
+        )
+    fallback_eps = estimate_eps_quantile(values)
+    return DBSCAN(eps=fallback_eps, min_pts=cfg.min_pts).fit(values)
+
+
+def analyze_cluster(
+    cfg: AnalyzerConfig,
+    bursts: BurstSet,
+    labels: np.ndarray,
+    cluster_id: int,
+    counters: Sequence[str],
+    time_share: float,
+    diagnostics: Diagnostics,
+) -> ClusterAnalysis:
+    """Select, fold, filter and fit one cluster: the paper's per-cluster step.
+
+    The members of ``cluster_id`` under ``labels`` are pruned to
+    instances and folded over ``counters``; each folded counter is
+    clipped to the unit range and, with ``cfg.monotonicity_filter``, made
+    monotone per instance; then the PWLR phase detection runs, phases
+    are mapped to source, and per-counter reconstructions are built.
+    Recoverable per-counter failures land in ``diagnostics``.  This is
+    the only such path: batch analysis and the live refits of
+    :class:`~repro.stream.engine.StreamEngine` both call it.
+    """
+    instances = select_instances(
+        bursts,
+        labels,
+        cluster_id,
+        prune_outliers=cfg.prune_outliers,
+        iqr_factor=cfg.iqr_factor,
+        min_instances=cfg.min_instances,
+    )
+    fold_drops: Dict[str, str] = {}
+    folded = fold_cluster(
+        instances,
+        counters,
+        min_points=cfg.min_folded_points,
+        required=[cfg.pivot],
+        drops=fold_drops,
+    )
+    for counter, reason in fold_drops.items():
+        diagnostics.warning(
+            "folding",
+            f"counter {counter} dropped from cluster {cluster_id}: {reason}",
+            cluster_id=cluster_id,
+            counter=counter,
+        )
+
+    reports: List[FilterReport] = []
+    with _span("filter", cluster_id=cluster_id, n_counters=len(folded)):
+        for counter in list(folded):
+            try:
+                fc, r_range = clip_to_unit_range(
+                    folded[counter], cfg.range_tolerance
                 )
-            analysis, error, worker_diag, worker_spans = outcome
-            diagnostics.extend(worker_diag)
-            with _span(
-                "cluster",
-                cluster_id=cluster_id,
-                n_members=int(members.size),
-                parallel=True,
-            ) as rec:
-                if rec is not None and worker_spans:
-                    rec.children.extend(worker_spans)
-            if error is not None:
-                if not isinstance(error, cluster_errors):
-                    raise error
-                skipped[cluster_id] = str(error)
-                diagnostics.error(
-                    "analysis",
-                    f"cluster {cluster_id} skipped: {error}",
+                reports.append(r_range)
+                if cfg.monotonicity_filter:
+                    fc, r_mono = enforce_instance_monotonicity(fc)
+                    reports.append(r_mono)
+                folded[counter] = fc
+            except FoldingError as exc:
+                if not cfg.degraded_mode or counter == cfg.pivot:
+                    raise
+                del folded[counter]
+                diagnostics.warning(
+                    "folding",
+                    f"physical filters failed for {counter}; counter dropped",
                     cluster_id=cluster_id,
+                    counter=counter,
+                    error=str(exc),
                 )
-            else:
-                clusters.append(analysis)
 
-    def _analyze_cluster(
-        self,
-        bursts: BurstSet,
-        labels: np.ndarray,
-        cluster_id: int,
-        counters: Sequence[str],
-        time_share: float,
-        diagnostics: Diagnostics,
-    ) -> ClusterAnalysis:
-        cfg = self.config
-        instances = select_instances(
-            bursts,
-            labels,
-            cluster_id,
-            prune_outliers=cfg.prune_outliers,
-            iqr_factor=cfg.iqr_factor,
-            min_instances=cfg.min_instances,
-        )
-        fold_drops: Dict[str, str] = {}
-        folded = fold_cluster(
-            instances,
-            counters,
-            min_points=cfg.min_folded_points,
-            required=[cfg.pivot],
-            drops=fold_drops,
-        )
-        for counter, reason in fold_drops.items():
-            diagnostics.warning(
-                "folding",
-                f"counter {counter} dropped from cluster {cluster_id}: {reason}",
-                cluster_id=cluster_id,
-                counter=counter,
-            )
+    phase_set = detect_phases(
+        folded,
+        cluster_id=cluster_id,
+        pivot=cfg.pivot,
+        config=cfg.pwlr,
+        diagnostics=diagnostics,
+        allow_fallback=cfg.degraded_mode,
+    )
 
-        reports: List[FilterReport] = []
-        with _span("filter", cluster_id=cluster_id, n_counters=len(folded)):
-            for counter in list(folded):
-                try:
-                    fc, r_range = clip_to_unit_range(
-                        folded[counter], cfg.range_tolerance
-                    )
-                    reports.append(r_range)
-                    if cfg.monotonicity_filter:
-                        fc, r_mono = enforce_instance_monotonicity(fc)
-                        reports.append(r_mono)
-                    folded[counter] = fc
-                except FoldingError as exc:
-                    if not cfg.degraded_mode or counter == cfg.pivot:
-                        raise
-                    del folded[counter]
-                    diagnostics.warning(
-                        "folding",
-                        f"physical filters failed for {counter}; counter dropped",
-                        cluster_id=cluster_id,
-                        counter=counter,
-                        error=str(exc),
-                    )
-
-        phase_set = detect_phases(
-            folded,
+    try:
+        with _span("fold_callstacks", cluster_id=cluster_id):
+            callstacks: Optional[FoldedCallstacks] = fold_callstacks(instances)
+        attributions = map_phases_to_source(phase_set, callstacks)
+    except FoldingError:
+        # No stack samples in this cluster: phases stand unattributed.
+        callstacks = None
+        attributions = []
+        diagnostics.info(
+            "phases",
+            f"cluster {cluster_id}: no stack samples, "
+            f"phases stand unattributed",
             cluster_id=cluster_id,
-            pivot=cfg.pivot,
-            config=cfg.pwlr,
-            diagnostics=diagnostics,
-            allow_fallback=cfg.degraded_mode,
         )
 
-        try:
-            with _span("fold_callstacks", cluster_id=cluster_id):
-                callstacks: Optional[FoldedCallstacks] = fold_callstacks(instances)
-            attributions = map_phases_to_source(phase_set, callstacks)
-        except FoldingError:
-            # No stack samples in this cluster: phases stand unattributed.
-            callstacks = None
-            attributions = []
-            diagnostics.info(
-                "phases",
-                f"cluster {cluster_id}: no stack samples, "
-                f"phases stand unattributed",
-                cluster_id=cluster_id,
-            )
-
-        reconstructions: Dict[str, Reconstruction] = {}
-        with _span("reconstruct", cluster_id=cluster_id):
-            for counter in folded:
-                if counter not in phase_set.counter_models:
-                    continue  # refit dropped it; already in diagnostics
-                try:
-                    reconstructions[counter] = Reconstruction.from_folded(
-                        folded[counter], phase_set.counter_models[counter]
-                    )
-                except (FoldingError, FittingError) as exc:
-                    if not cfg.degraded_mode:
-                        raise
-                    diagnostics.warning(
-                        "phases",
-                        f"reconstruction failed for {counter}",
-                        cluster_id=cluster_id,
-                        counter=counter,
-                        error=str(exc),
-                    )
-        return ClusterAnalysis(
-            cluster_id=cluster_id,
-            n_members=int(np.sum(labels == cluster_id)),
-            time_share=time_share,
-            instances=instances,
-            folded=folded,
-            filter_reports=reports,
-            phase_set=phase_set,
-            attributions=attributions,
-            callstacks=callstacks,
-            reconstructions=reconstructions,
-        )
+    reconstructions: Dict[str, Reconstruction] = {}
+    with _span("reconstruct", cluster_id=cluster_id):
+        for counter in folded:
+            if counter not in phase_set.counter_models:
+                continue  # refit dropped it; already in diagnostics
+            try:
+                reconstructions[counter] = Reconstruction.from_folded(
+                    folded[counter], phase_set.counter_models[counter]
+                )
+            except (FoldingError, FittingError) as exc:
+                if not cfg.degraded_mode:
+                    raise
+                diagnostics.warning(
+                    "phases",
+                    f"reconstruction failed for {counter}",
+                    cluster_id=cluster_id,
+                    counter=counter,
+                    error=str(exc),
+                )
+    return ClusterAnalysis(
+        cluster_id=cluster_id,
+        n_members=int(np.sum(labels == cluster_id)),
+        time_share=time_share,
+        instances=instances,
+        folded=folded,
+        filter_reports=reports,
+        phase_set=phase_set,
+        attributions=attributions,
+        callstacks=callstacks,
+        reconstructions=reconstructions,
+    )

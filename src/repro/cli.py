@@ -286,9 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_impl(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    config = AnalyzerConfig(n_jobs=args.jobs)
+    config = AnalyzerConfig()
 
     def produce():
         if args.store:
@@ -907,14 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome-trace",
         metavar="PATH",
         help="write a Chrome trace_event file for chrome://tracing / Perfetto",
-    )
-    p_analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze clusters on N worker processes (1 = serial; "
-        "results are identical to a serial run)",
     )
     p_analyze.add_argument(
         "--store",

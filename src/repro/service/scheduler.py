@@ -24,10 +24,10 @@ crash-safety mechanisms:
   fast (:class:`~repro.store.lock.StoreLock`) instead of interleaving
   journal writes.
 
-Worker-pool semantics mirror ``AnalyzerConfig.n_jobs``: ``n_workers=1``
-runs inline (no threads — exceptions and profiling behave exactly like a
-loop), ``n_workers>1`` uses a thread pool.  Each worker re-activates the
-submitting thread's observability context, so queue depth
+Worker-pool semantics: ``n_workers=1`` runs inline (no threads —
+exceptions and profiling behave exactly like a loop), ``n_workers>1``
+uses a thread pool.  Each worker re-activates the submitting thread's
+observability context, so queue depth
 (``service.queue_depth`` gauge), per-state job counters
 (``service.jobs.done`` / ``.cached`` / ``.failed`` / ``.timeout`` /
 ``.cancelled`` / ``.resumed``), job latency (``service.job_seconds``

@@ -4,10 +4,10 @@ Threads cannot be preempted in Python, so a job that *hangs* — an NFS
 stall inside ``read()``, a livelocked native kernel, a fault-injected
 ``hang_worker`` — would wedge a thread-pool batch forever.  When a batch
 has a deadline, each attempt therefore runs in its own worker
-**process** (its own process group, so the analyzer's ``n_jobs``
-grandchildren die with it), and the submitting thread doubles as the
-watchdog: it polls the result pipe, and on deadline expiry kills the
-whole group (SIGTERM, short grace, SIGKILL) and raises
+**process** (its own process group, so anything the attempt spawns
+dies with it), and the submitting thread doubles as the watchdog: it
+polls the result pipe, and on deadline expiry kills the whole group
+(SIGTERM, short grace, SIGKILL) and raises
 :class:`~repro.errors.DeadlineExceededError` — which the scheduler's
 retry policy may retry before recording the job as ``TIMEOUT``.
 
@@ -79,8 +79,8 @@ def _isolated_worker(
     from repro.store.cache import analyze_cached
 
     try:
-        # Own process group, so the watchdog's killpg reaps any n_jobs
-        # pool workers this analysis spawns along with us.
+        # Own process group, so the watchdog's killpg reaps anything
+        # this analysis spawns along with us.
         os.setpgid(0, 0)
     except OSError:  # pragma: no cover - already a group leader
         pass

@@ -11,8 +11,8 @@ output.  This package exploits that:
   folded sample arrays are summarized, not stored (see docs/SERVICE.md).
 * :mod:`repro.store.fingerprint` — the content address: a digest of the
   trace bytes plus the semantic analyzer configuration.  Knobs that
-  cannot change results (``n_jobs``, ``profile``, ``progress_every``) are
-  excluded, so a parallel re-run hits the cache of a serial one.
+  cannot change results (``profile``, ``progress_every``) are excluded,
+  so a profiled re-run hits the cache of a quiet one.
 * :mod:`repro.store.artifacts` — :class:`ResultStore`, the on-disk
   fingerprint-keyed artifact store with atomic writes, per-read content
   digest verification, and a quarantine for artifacts that fail it.

@@ -61,8 +61,8 @@ def content_digest(result_dict: Mapping[str, Any]) -> str:
 
     The ``profile`` block is excluded: span wall/CPU timings vary run to
     run whenever observability is active, while the digest must be a
-    function of what the analysis *concluded* — the same determinism
-    carve-out the fingerprint makes for ``n_jobs``. Two analyses of the
+    function of what the analysis *concluded* — the same carve-out the
+    fingerprint makes for ``profile``. Two analyses of the
     same trace and config therefore share a digest even when one was
     profiled and the other was not.
     """

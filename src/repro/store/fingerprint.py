@@ -2,18 +2,21 @@
 
 The pipeline is deterministic: the same trace analyzed under the same
 *semantic* configuration produces the identical result, so the pair's
-digest is a safe cache key.  A few knobs are excluded from the
-fingerprint because they provably cannot change the result, only how it
-is computed or narrated: ``n_jobs`` (the parallel path is
-bit-deterministic vs serial), ``profile`` and ``progress_every``
-(observability only).  A parallel re-analysis therefore hits the cache
-entry a serial run populated.
+digest is a safe cache key.  Two knobs are excluded from the
+fingerprint because they cannot change the result, only how the run is
+narrated: ``profile`` and ``progress_every`` (observability only).
 
-Stored configs written before the PWLR search had a single evaluator
-carry a ``pwlr.search_kernel`` field.  That knob only chose between two
-rankings that selected identical breakpoints, was never part of the
-fingerprint, and is dropped on read, so those configs still load and
-their store entries stay valid.
+Retired knobs are dropped on read, so configs stored before their
+removal still load and their store entries stay valid.  Each only chose
+between paths with identical results and was never part of the
+fingerprint:
+
+* ``n_jobs`` selected a per-cluster process pool whose results matched
+  the serial analysis bit for bit;
+* ``pwlr.search_kernel`` chose between two PWLR rankings that selected
+  identical breakpoints.
+
+Any other unknown field is refused.
 
 Trace identity is the file's *bytes* (streamed SHA-256), not the parsed
 records: two files that parse identically but differ textually get
@@ -47,7 +50,10 @@ __all__ = [
 FINGERPRINT_FORMAT = "repro-fp/1"
 
 #: AnalyzerConfig fields that cannot affect analysis output.
-_NON_SEMANTIC_FIELDS = ("n_jobs", "profile", "progress_every")
+_NON_SEMANTIC_FIELDS = ("profile", "progress_every")
+
+#: Retired AnalyzerConfig fields that stored configs may still carry.
+_RETIRED_FIELDS = ("n_jobs",)
 
 #: Retired PWLRConfig fields that stored configs may still carry.
 _RETIRED_PWLR_FIELDS = ("search_kernel",)
@@ -66,7 +72,7 @@ def config_to_dict(config: AnalyzerConfig) -> Dict[str, Any]:
 
 def config_from_dict(data: Mapping[str, Any]) -> AnalyzerConfig:
     """Rebuild an :class:`AnalyzerConfig` from :func:`config_to_dict`."""
-    payload = dict(data)
+    payload = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
     known = {f.name for f in dataclasses.fields(AnalyzerConfig)}
     unknown = set(payload) - known
     if unknown:

@@ -33,13 +33,22 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.pipeline import AnalysisResult, AnalyzerConfig, FoldingAnalyzer
+from repro.analysis.pipeline import (
+    AnalysisResult,
+    AnalyzerConfig,
+    FoldingAnalyzer,
+    analyze_cluster,
+)
 from repro.clustering.bursts import BurstSet, ComputationBurst
 from repro.errors import FittingError, FoldingError, PhaseError, StreamError
-from repro.folding.fold import fold_cluster
-from repro.folding.instances import select_instances
+
+# Not called here: e2ebench/spans.py resolves these three names on this
+# module, so they stay importable from it.
+from repro.folding.fold import fold_cluster  # noqa: F401
+from repro.folding.instances import select_instances  # noqa: F401
 from repro.observability.context import DISABLED, gauge, publish, span
-from repro.phases.detect import detect_phases
+from repro.phases.detect import detect_phases  # noqa: F401
+from repro.resilience.diagnostics import Diagnostics
 from repro.store import config_from_dict, config_to_dict
 from repro.stream.assembly import (
     IncrementalBurstAssembler,
@@ -322,7 +331,7 @@ class StreamEngine:
         )
         model, labels = OnlineClusterModel.fit(
             self.warmup.items,
-            min_pts=self.config.analyzer.min_pts,
+            self.config.analyzer,
             assign_factor=self.config.assign_factor,
         )
         if model is None:
@@ -355,7 +364,7 @@ class StreamEngine:
             pool.extend(reservoir.items)
         model, labels = OnlineClusterModel.fit(
             pool,
-            min_pts=self.config.analyzer.min_pts,
+            self.config.analyzer,
             assign_factor=self.config.assign_factor,
         )
         if model is None:
@@ -391,44 +400,28 @@ class StreamEngine:
     # periodic refit
     # ------------------------------------------------------------------
     def _refit_cluster(self, cid: int) -> None:
-        # Live refits run the batch detect_phases under cfg.pwlr, so they
-        # share the batch search: every candidate is ranked on the
-        # n-independent moments evaluator, whatever the reservoir size.
+        # A live refit is the batch per-cluster analysis over the
+        # reservoir: the same fold, physical filters and PWLR search.
         with span("stream.refit", cluster=cid):
             state = self.clusters[cid]
             state.n_since_refit = 0
-            bursts = self.reservoirs[cid].items
+            bursts = BurstSet(list(self.reservoirs[cid].items))
             cfg = self.config.analyzer
             try:
-                instances = select_instances(
-                    BurstSet(list(bursts)),
+                analysis = analyze_cluster(
+                    cfg,
+                    bursts,
                     np.full(len(bursts), cid),
                     cid,
-                    prune_outliers=cfg.prune_outliers,
-                    iqr_factor=cfg.iqr_factor,
-                    min_instances=cfg.min_instances,
-                )
-                counters = list(cfg.counters) if cfg.counters else sorted(
-                    {name for b in bursts for name in b.end_counters}
-                )
-                if cfg.pivot not in counters:
-                    counters.append(cfg.pivot)
-                folded = fold_cluster(
-                    instances,
-                    counters,
-                    min_points=cfg.min_folded_points,
-                    required=[cfg.pivot],
-                )
-                phases = detect_phases(
-                    folded,
-                    cluster_id=cid,
-                    pivot=cfg.pivot,
-                    config=cfg.pwlr,
-                    allow_fallback=cfg.degraded_mode,
+                    list(cfg.counters) if cfg.counters else bursts.counter_names,
+                    1.0,
+                    Diagnostics(),
                 )
             except (FoldingError, FittingError, PhaseError):
+                # A reservoir without the pivot counter fails in the fold.
                 state.n_refit_failures += 1
                 return
+            phases = analysis.phase_set
             state.n_refits += 1
             self.n_refits += 1
             n_phases = len(phases)
@@ -442,7 +435,7 @@ class StreamEngine:
                     cluster=cid,
                     n_phases_before=state.n_phases,
                     n_phases_after=n_phases,
-                    n_instances=len(instances),
+                    n_instances=len(analysis.instances),
                 )
             elif state.mean_slope is not None and state.mean_slope > 0 and mean_slope > 0:
                 ratio = max(mean_slope / state.mean_slope, state.mean_slope / mean_slope)

@@ -4,9 +4,11 @@ The batch pipeline clusters all bursts at once (features → DBSCAN).  The
 stream cannot, so it splits the problem in two:
 
 * **Fit** (:meth:`OnlineClusterModel.fit`) — run the batch feature
-  construction and DBSCAN (including the pipeline's pairwise-quantile
-  eps fallback) over a bounded set of bursts, then *freeze* the feature
-  scaling (means/scales) and summarize each cluster by its centroid.
+  construction and clustering
+  (:func:`~repro.analysis.pipeline.cluster_features`, including its
+  pairwise-quantile eps fallback) over a bounded set of bursts, then
+  *freeze* the feature scaling (means/scales) and summarize each
+  cluster by its centroid.
 * **Assign** (:meth:`OnlineClusterModel.assign`) — project each new
   burst through the frozen scaling and attach it to the nearest centroid
   within ``assign_factor * eps``, or declare it noise.  O(k·d) per
@@ -29,10 +31,14 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ClusteringError, StreamError
+from repro.analysis.pipeline import AnalyzerConfig, cluster_features
 from repro.clustering.bursts import BurstSet, ComputationBurst
-from repro.clustering.dbscan import DBSCAN, estimate_eps, estimate_eps_quantile
+
+# Not called here; e2ebench/spans.py resolves this name on this module.
+from repro.clustering.dbscan import estimate_eps  # noqa: F401
 from repro.clustering.features import build_features
+from repro.errors import ClusteringError, StreamError
+from repro.resilience.diagnostics import Diagnostics, Severity
 
 __all__ = ["ClusterReservoir", "OnlineClusterModel", "DriftWindow"]
 
@@ -156,41 +162,29 @@ class OnlineClusterModel:
     def fit(
         cls,
         bursts: List[ComputationBurst],
-        min_pts: int,
+        config: AnalyzerConfig,
         assign_factor: float,
     ) -> Tuple[Optional["OnlineClusterModel"], Optional[np.ndarray]]:
-        """Fit features + DBSCAN over ``bursts``; summarize as centroids.
+        """Fit features + the batch clustering over ``bursts``; summarize
+        as centroids.
 
-        Returns ``(model, labels)`` — labels align with ``bursts`` so the
-        caller can seed reservoirs from the fit itself — or ``(None,
-        None)`` when the bursts cannot support a model yet (too few, no
-        pivot counter, zero clusters): the stream keeps warming up.
+        Clustering goes through
+        :func:`~repro.analysis.pipeline.cluster_features` under the
+        analyzer ``config``, fallbacks included.  Returns ``(model,
+        labels)`` — labels align with ``bursts`` so the caller can seed
+        reservoirs from the fit itself — or ``(None, None)`` when the
+        bursts cannot support a model yet (too few, no pivot counter,
+        zero clusters): the stream keeps warming up.
         """
+        min_pts = config.min_pts
         if len(bursts) < max(min_pts, 2):
             return None, None
+        diagnostics = Diagnostics()
         try:
             features = build_features(BurstSet(list(bursts)))
+            result = cluster_features(features.values, config, diagnostics)
         except ClusteringError:
             return None, None
-        used_fallback = False
-        try:
-            eps = estimate_eps(features.values, k=min_pts)
-            if eps <= 1e-8:
-                raise ClusteringError("degenerate k-dist eps")
-        except ClusteringError:
-            eps = None
-        if eps is not None:
-            result = DBSCAN(eps=eps, min_pts=min_pts).fit(features.values)
-            if result.n_clusters == 0:
-                eps = None
-        if eps is None:
-            # Mirror the batch pipeline's degraded-mode fallback chain.
-            try:
-                eps = estimate_eps_quantile(features.values)
-                result = DBSCAN(eps=eps, min_pts=min_pts).fit(features.values)
-            except ClusteringError:
-                return None, None
-            used_fallback = True
         if result.n_clusters == 0:
             return None, None
         centroids = np.stack(
@@ -204,12 +198,12 @@ class OnlineClusterModel:
             means=features.means,
             scales=features.stds,  # build_features stores floored scales here
             centroids=centroids,
-            eps=float(eps),
+            eps=result.eps,
             min_pts=min_pts,
             assign_factor=assign_factor,
         )
         model.n_fitted = len(bursts)
-        model.used_fallback_eps = used_fallback
+        model.used_fallback_eps = bool(diagnostics.by_severity(Severity.DEGRADED))
         return model, result.labels
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ whose dictionary is missing or inconsistent must fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import TraceFormatError
 
@@ -24,8 +24,8 @@ class EventDictionary:
     reverse maps behind :meth:`counter_name`/:meth:`state_name` and
     :attr:`counter_names_by_text` are derived from them and kept in step
     by :meth:`counter_id`, :meth:`state_id` and :meth:`from_lines`, so
-    change the forward maps only through those.  When two names share an
-    id, the reverse lookup answers the one inserted first.
+    change the forward maps only through those.  :meth:`from_lines`
+    refuses a block where two names share an id or a name has two ids.
     """
 
     counter_ids: Dict[str, int] = field(default_factory=dict)
@@ -99,9 +99,15 @@ class EventDictionary:
 
     @classmethod
     def from_lines(cls, lines: List[str]) -> "EventDictionary":
-        """Parse the sidecar text block back into a dictionary."""
+        """Parse the sidecar text block back into a dictionary.
+
+        Raises :class:`~repro.errors.TraceFormatError` on a malformed
+        line, and when one id is listed under two names or one name with
+        two ids within a section; a line repeated verbatim is harmless.
+        """
         dictionary = cls()
         section = ""
+        owners: Dict[Tuple[str, int], str] = {}
         for raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -118,14 +124,26 @@ class EventDictionary:
             except ValueError:
                 raise TraceFormatError(f"non-integer id in dictionary line: {raw!r}") from None
             if section == "[counters]":
-                dictionary.counter_ids[name] = ident
-                dictionary._next_counter_id = max(dictionary._next_counter_id, ident + 1)
+                ids = dictionary.counter_ids
             elif section == "[states]":
-                dictionary.state_ids[name] = ident
-                dictionary._next_state_id = max(dictionary._next_state_id, ident + 1)
+                ids = dictionary.state_ids
             else:
                 raise TraceFormatError(
                     f"dictionary entry before section header: {raw!r}"
                 )
+            owner = owners.setdefault((section, ident), name)
+            if owner != name:
+                raise TraceFormatError(
+                    f"dictionary id {ident} listed as {owner!r} and {name!r}"
+                )
+            if ids.setdefault(name, ident) != ident:
+                raise TraceFormatError(
+                    f"dictionary name {name!r} listed with ids "
+                    f"{ids[name]} and {ident}"
+                )
+            if section == "[counters]":
+                dictionary._next_counter_id = max(dictionary._next_counter_id, ident + 1)
+            else:
+                dictionary._next_state_id = max(dictionary._next_state_id, ident + 1)
         dictionary._reindex()
         return dictionary

@@ -498,8 +498,8 @@ def random_models(seed: int, full: bool = False) -> List[PiecewiseLinearModel]:
 def write_case_traces(seed: int, directory: str, n: int = 2) -> List[str]:
     """Write ``n`` small seeded workload traces under ``directory``.
 
-    Used by the integration suites (parallel vs serial, cached vs fresh,
-    resumed vs uninterrupted) that need real trace files on disk.
+    Used by the integration suites (cached vs fresh, resumed vs
+    uninterrupted) that need real trace files on disk.
     """
     from repro.analysis.experiments import default_core
     from repro.runtime.engine import ExecutionEngine

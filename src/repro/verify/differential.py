@@ -2,17 +2,17 @@
 
 Each *suite* pits one optimized path against an independent reference —
 a scalar oracle from :mod:`repro.verify.oracles`, a forced alternate
-backend, or a second execution mode (parallel/cached/resumed) — over
-the seeded corpora in :mod:`repro.verify.corpus`, and reports every
-disagreement beyond the suite's documented tolerance as a structured
+backend, or a second execution mode (cached/resumed) — over the seeded
+corpora in :mod:`repro.verify.corpus`, and reports every disagreement
+beyond the suite's documented tolerance as a structured
 :class:`Divergence` carrying the stage, seed, max abs/ulp delta, and
 the exact command that replays it.
 
 Bit-exact suites (tolerance zero): fold arrays, DBSCAN labels (both
 grid-vs-blocked and vs the scalar oracle on fp-safe corpora), predict/
-slope_at, BIC/AIC, boundary matching, parallel-vs-serial, cached, and
-resumed results.  Tolerance suites (different algorithms for the same
-math): least-squares coefficients, eps estimation, and the fold's mean
+slope_at, BIC/AIC, boundary matching, cached, and resumed results.
+Tolerance suites (different algorithms for the same math): least-squares
+coefficients, eps estimation, and the fold's mean
 statistics — each tolerance is justified in ``docs/VERIFICATION.md``.
 """
 
@@ -235,7 +235,7 @@ class SelftestContext:
     """Per-run state: seed, scale, and lazily-built expensive artifacts.
 
     The trace files and the serial analysis result are shared across the
-    integration suites (parallel/cache/resume/roundtrip) so the harness
+    integration suites (cache/resume/roundtrip) so the harness
     pays for them once.
     """
 
@@ -771,29 +771,6 @@ def _suite_roundtrip(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
 
         check("zero_slopes", result_to_json(result_from_dict(data)))
     return 3, out
-
-
-@_suite("parallel")
-def _suite_parallel(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
-    """Parallel per-cluster analysis (n_jobs=2) vs serial — the stored
-    JSON must be byte-identical."""
-    from repro.analysis.pipeline import AnalyzerConfig, FoldingAnalyzer
-    from repro.store.serialize import result_to_json
-    from repro.trace.reader import read_trace
-
-    trace = read_trace(ctx.trace_paths()[0])
-    parallel = FoldingAnalyzer(AnalyzerConfig(n_jobs=2)).analyze(trace)
-    got = result_to_json(parallel)
-    want = ctx.serial_result_json()
-    out: List[Divergence] = []
-    if got != want:
-        out.append(
-            Divergence(
-                "parallel", "trace0", ctx.seed,
-                "n_jobs=2 result JSON differs from serial",
-            )
-        )
-    return 1, out
 
 
 @_suite("cache")

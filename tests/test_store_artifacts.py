@@ -38,7 +38,6 @@ class TestFingerprint:
     def test_non_semantic_config_ignored(self, multiphase_trace_file):
         base = fingerprint_trace_file(multiphase_trace_file, AnalyzerConfig())
         for variant in (
-            AnalyzerConfig(n_jobs=8),
             AnalyzerConfig(profile=False),
             AnalyzerConfig(progress_every=50),
         ):

@@ -150,7 +150,7 @@ class TestFormatChecks:
 
 class TestConfigCodec:
     def test_config_roundtrip(self):
-        config = AnalyzerConfig(eps=0.05, min_pts=4, n_jobs=3)
+        config = AnalyzerConfig(eps=0.05, min_pts=4, progress_every=3)
         restored = config_from_dict(config_to_dict(config))
         assert restored == config
 

@@ -27,7 +27,12 @@ from repro.stream import (
     StreamParser,
     TraceTailSource,
 )
-from repro.trace.reader import read_trace, read_trace_salvaged, salvage_trace_text
+from repro.trace.reader import (
+    load_trace_text,
+    read_trace,
+    read_trace_salvaged,
+    salvage_trace_text,
+)
 from repro.trace.records import (
     InstrumentationRecord,
     SampleRecord,
@@ -73,6 +78,13 @@ def _damaged_text(text, case):
         # percent-quotes it, so here it damages exactly one record line.
         at = text.index("\nP ") + 8
         return text[:at] + "\u2028" + text[at:]
+    if case in ("dict-shared-id", "dict-two-ids"):
+        # A counter line that conflicts with an earlier one: a taken id
+        # under a second name, or PAPI_TOT_INS under a new id.
+        at = text.index("[states]\n")
+        if case == "dict-shared-id":
+            return text[:at] + "42000010 PAPI_EXTRA\n" + text[at:]
+        return text[:at] + "42000099 PAPI_TOT_INS\n" + text[at:]
     assert case == "no-ranks"
     lines = text.splitlines(keepends=True)
     return "".join(line for line in lines if not line.startswith("ranks "))
@@ -108,7 +120,15 @@ class TestStreamParser:
 
     def test_drop_parity_on_corrupted_text(self, multiphase_trace):
         text = dump_trace_text(multiphase_trace)
-        for case in ("corrupted", "leading-blank", "u2028-in-record", "no-ranks"):
+        cases = (
+            "corrupted",
+            "leading-blank",
+            "u2028-in-record",
+            "no-ranks",
+            "dict-shared-id",
+            "dict-two-ids",
+        )
+        for case in cases:
             bad = _damaged_text(text, case)
             batch = _salvage_outcome(lambda: salvage_trace_text(bad))
             if case == "leading-blank":
@@ -117,6 +137,12 @@ class TestStreamParser:
                 assert batch[1]["reasons"] == {"malformed-record": 1}
             elif case == "no-ranks":
                 assert batch[1]["inferred_ranks"]
+            elif case.startswith("dict-"):
+                # The later line is dropped; every record still parses.
+                assert batch[1]["reasons"] == {"dictionary": 1}
+                assert batch[2] == multiphase_trace.n_records
+                with pytest.raises(TraceFormatError, match=r"^line \d+: "):
+                    load_trace_text(bad)
             else:
                 assert batch[1]["n_lines_dropped"] > 0
             for chunk in (1, 211, 4096):
@@ -338,10 +364,44 @@ class TestStreamEngine:
         assert len(refits) == engine.n_refits + sum(
             state.n_refit_failures for state in engine.clusters.values()
         )
-        fitted = [
-            r for r in refits if any(rec.name == "fit_pwlr" for _, rec in r.walk())
-        ]
-        assert len(fitted) >= engine.n_refits
+        # every refit filters the fold before it fits, as batch does
+        for refit in refits:
+            names = {rec.name for _, rec in refit.walk()}
+            assert {"filter", "fit_pwlr"} <= names
+
+    def test_refit_of_batch_cluster_matches_batch(
+        self, multiphase_trace, monkeypatch
+    ):
+        # A live refit over exactly a batch cluster's bursts is the batch
+        # per-cluster analysis: the same phases, bit for bit.
+        import repro.stream.engine as engine_module
+        from repro.stream.engine import _ClusterState
+        from repro.stream.model import ClusterReservoir
+
+        batch = FoldingAnalyzer().analyze(multiphase_trace)
+        cluster = batch.dominant_cluster()
+        cid = cluster.cluster_id
+        members = batch.clustering.members(cid)
+        engine = StreamEngine(StreamConfig())
+        reservoir = engine.reservoirs[cid] = ClusterReservoir(members.size)
+        reservoir.items = [batch.bursts.bursts[i] for i in members]
+        engine.clusters[cid] = _ClusterState()
+        analyses = []
+        analyze_cluster = engine_module.analyze_cluster
+
+        def spy(*args, **kwargs):
+            analyses.append(analyze_cluster(*args, **kwargs))
+            return analyses[-1]
+
+        monkeypatch.setattr(engine_module, "analyze_cluster", spy)
+        engine._refit_cluster(cid)
+        assert engine.n_refits == 1 and len(analyses) == 1
+        live, want = analyses[0].phase_set, cluster.phase_set
+        assert len(live) == len(want) == engine.clusters[cid].n_phases
+        assert live.boundaries.tobytes() == want.boundaries.tobytes()
+        assert (
+            live.pivot_model.slopes.tobytes() == want.pivot_model.slopes.tobytes()
+        )
 
     def test_salvage_convergence_on_corrupted_stdin(self, multiphase_trace):
         text = dump_trace_text(multiphase_trace)

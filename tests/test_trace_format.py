@@ -101,17 +101,14 @@ class TestEventDictionary:
             d.counter_name(999)
         with pytest.raises(TraceFormatError):
             d.state_name(999)
-        # Loaded maps: a shared id answers the name listed first, and a
-        # name listed twice keeps only its last id.
+        # Loaded maps: a line repeated verbatim is harmless, and counters
+        # and states keep separate id spaces.
         loaded = EventDictionary.from_lines(
-            ["[counters]", "7 A", "7 B", "8 C", "9 C", "[states]", "1 compute"]
+            ["[counters]", "7 A", "7 A", "9 C", "[states]", "7 compute"]
         )
         assert loaded.counter_name(7) == "A"
-        assert loaded.counter_name(9) == "C"
-        with pytest.raises(TraceFormatError):
-            loaded.counter_name(8)
         assert loaded.counter_names_by_text == {"7": "A", "9": "C"}
-        assert loaded.state_name(1) == "compute"
+        assert loaded.state_name(7) == "compute"
 
     def test_lines_round_trip(self):
         d = EventDictionary()
@@ -126,6 +123,12 @@ class TestEventDictionary:
             EventDictionary.from_lines(["[counters]", "notanint name"])
         with pytest.raises(TraceFormatError):
             EventDictionary.from_lines(["5 orphan"])
+        # one id under two names, or one name under two ids, either section
+        for section in ("[counters]", "[states]"):
+            with pytest.raises(TraceFormatError, match="id 7 listed"):
+                EventDictionary.from_lines([section, "7 A", "7 B"])
+            with pytest.raises(TraceFormatError, match="name 'C' listed"):
+                EventDictionary.from_lines([section, "8 C", "9 C"])
 
 
 class TestRoundTrip:
