@@ -17,7 +17,12 @@ from repro.errors import ClusteringError
 from repro.clustering.bursts import BurstSet
 from repro.observability.context import span as _span
 
-__all__ = ["FeatureMatrix", "build_features", "DEFAULT_FEATURE_COUNTERS"]
+__all__ = [
+    "FeatureMatrix",
+    "build_features",
+    "raw_features",
+    "DEFAULT_FEATURE_COUNTERS",
+]
 
 #: Minimum divisor for the log10-duration feature (log10 units; ~1.4x).
 DURATION_SCALE_FLOOR = 0.15
@@ -102,25 +107,19 @@ def _build_features_impl(
     wanted = [
         c for c in (counters or DEFAULT_FEATURE_COUNTERS) if c in available
     ]
-    instructions = bursts.deltas("PAPI_TOT_INS")
+    instructions = bursts.deltas_or_nan("PAPI_TOT_INS")  # raw_features reuses it
     if np.any(instructions <= 0):
         bad = int(np.count_nonzero(instructions <= 0))
         raise ClusteringError(
             f"{bad} burst(s) retired zero instructions — trace is inconsistent"
         )
 
-    columns: List[np.ndarray] = []
-    names: List[str] = []
-    if include_duration:
-        columns.append(np.log10(bursts.durations()))
-        names.append("log10_duration")
-    for counter in wanted:
-        columns.append(bursts.deltas(counter) / instructions)
-        names.append(f"{counter}_per_ins")
-    if not columns:
+    names = ["log10_duration"] if include_duration else []
+    names += [f"{counter}_per_ins" for counter in wanted]
+    if not names:
         raise ClusteringError("no features selected")
 
-    raw = np.column_stack(columns)
+    raw = raw_features(bursts, names)
     means = raw.mean(axis=0)
     stds = raw.std(axis=0)
     # Scale floors: plain z-scoring would amplify physically meaningless
@@ -138,3 +137,24 @@ def _build_features_impl(
     scales = np.maximum(stds, floors)
     values = (raw - means) / scales
     return FeatureMatrix(values=values, feature_names=names, means=means, stds=scales)
+
+
+def raw_features(bursts: BurstSet, feature_names: Sequence[str]) -> np.ndarray:
+    """Unscaled feature matrix: one row per burst, one column per name.
+
+    ``log10_duration`` is the log10 of the burst duration and
+    ``<counter>_per_ins`` the counter's burst total over the burst's
+    ``PAPI_TOT_INS`` total; a counter the burst did not measure gives
+    NaN.  Batch features and the live model's projection of one burst
+    both compute their columns here, so they agree bit for bit.
+    """
+    instructions = bursts.deltas_or_nan("PAPI_TOT_INS")
+    columns: List[np.ndarray] = []
+    for name in feature_names:
+        if name == "log10_duration":
+            columns.append(np.log10(bursts.durations()))
+        else:
+            columns.append(
+                bursts.deltas_or_nan(name[: -len("_per_ins")]) / instructions
+            )
+    return np.column_stack(columns)

@@ -8,10 +8,9 @@ trace grows:
 * :mod:`repro.stream.source` — tailing byte source (file or stdin
   spool); its text goes through the one trace parser,
   :class:`repro.trace.reader.TraceParser`, re-exported here as
-  ``StreamParser``;
-* :mod:`repro.stream.assembly` — incremental burst assembly replicating
-  the batch extractor's pairing semantics with watermark-gated sample
-  attachment;
+  ``StreamParser``, and its records through the one burst state machine,
+  :class:`repro.clustering.bursts.IncrementalBurstAssembler`, which batch
+  extraction drives too;
 * :mod:`repro.stream.model` — frozen-scaler online cluster assignment,
   bounded reservoirs, drift detection;
 * :mod:`repro.stream.engine` — the orchestrating engine: telemetry
@@ -25,7 +24,7 @@ growing and the stream finalizes, the emitted result is byte-identical
 ``repro selftest`` enforces it differentially.
 """
 
-from repro.stream.assembly import IncrementalBurstAssembler
+from repro.clustering.bursts import IncrementalBurstAssembler
 from repro.stream.checkpoint import (
     CHECKPOINT_FORMAT,
     load_checkpoint,

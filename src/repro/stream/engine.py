@@ -3,7 +3,7 @@
 :class:`StreamEngine` wires the incremental pieces together:
 
     bytes → :class:`~repro.trace.reader.TraceParser` (salvage parse)
-          → :class:`~repro.stream.assembly.IncrementalBurstAssembler`
+          → :class:`~repro.clustering.bursts.IncrementalBurstAssembler`
           → :class:`~repro.stream.model.OnlineClusterModel` (assign)
           → per-cluster :class:`~repro.stream.model.ClusterReservoir`
           → periodic fold + PWLR refit → phase-change / drift events
@@ -39,7 +39,13 @@ from repro.analysis.pipeline import (
     FoldingAnalyzer,
     analyze_cluster,
 )
-from repro.clustering.bursts import BurstSet, ComputationBurst
+from repro.clustering.bursts import (
+    BurstSet,
+    ComputationBurst,
+    IncrementalBurstAssembler,
+    burst_from_dict,
+    burst_to_dict,
+)
 from repro.errors import FittingError, FoldingError, PhaseError, StreamError
 
 # Not called here: e2ebench/spans.py resolves these three names on this
@@ -50,11 +56,6 @@ from repro.observability.context import DISABLED, gauge, publish, span
 from repro.phases.detect import detect_phases  # noqa: F401
 from repro.resilience.diagnostics import Diagnostics
 from repro.store import config_from_dict, config_to_dict
-from repro.stream.assembly import (
-    IncrementalBurstAssembler,
-    burst_from_dict,
-    burst_to_dict,
-)
 from repro.stream.model import NOISE, ClusterReservoir, DriftWindow, OnlineClusterModel
 from repro.stream.source import TraceTailSource
 from repro.trace.reader import (
@@ -67,6 +68,37 @@ from repro.trace.reader import (
 __all__ = ["StreamConfig", "StreamEngine", "StreamReport"]
 
 
+#: Attached samples kept per retained burst (stride-thinned beyond it).
+MAX_SAMPLES_PER_BURST = 512
+#: Assignments in the sliding drift window.
+DRIFT_WINDOW = 64
+#: Noise fraction of the drift window that trips a re-cluster.
+DRIFT_NOISE_THRESHOLD = 0.30
+#: Assignment radius, in units of the model's eps.
+ASSIGN_FACTOR = 1.5
+#: Mean-|slope| ratio between two refits of a cluster that counts as drift.
+SLOPE_SHIFT_FACTOR = 1.5
+#: Pending bursts per rank before the assembler emits one early.
+MAX_PENDING_BURSTS = 256
+#: Distinct recent lines the salvage parser remembers to drop duplicates.
+DEDUP_WINDOW = 4096
+#: Records between two ``stream_progress`` events.
+PROGRESS_EVERY_RECORDS = 5000
+
+#: Options earlier releases kept on :class:`StreamConfig`, with the value
+#: they are now fixed at; their checkpoints still carry them.
+_RETIRED_FIELDS: Dict[str, object] = {
+    "max_samples_per_burst": MAX_SAMPLES_PER_BURST,
+    "drift_window": DRIFT_WINDOW,
+    "drift_noise_threshold": DRIFT_NOISE_THRESHOLD,
+    "assign_factor": ASSIGN_FACTOR,
+    "slope_shift_factor": SLOPE_SHIFT_FACTOR,
+    "max_pending_bursts": MAX_PENDING_BURSTS,
+    "dedup_window": DEDUP_WINDOW,
+    "progress_every_records": PROGRESS_EVERY_RECORDS,
+}
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Tuning knobs of the streaming engine.
@@ -74,25 +106,17 @@ class StreamConfig:
     ``analyzer`` is the batch configuration used verbatim at
     finalization — the convergence guarantee is *defined* against it.
     The remaining knobs bound the online path: the warmup size before the
-    first model fit, the per-cluster reservoir capacity and per-burst
-    sample cap (together the memory ceiling, see ``docs/STREAMING.md``),
-    the refit cadence, the drift window, and the assignment radius
-    multiplier.  ``salvage`` selects the finalization read policy (and
-    must match the batch side being compared against).
+    first model fit, the per-cluster reservoir capacity (with
+    :data:`MAX_SAMPLES_PER_BURST`, the memory ceiling, see
+    ``docs/STREAMING.md``), the refit cadence and the reservoir RNG seed.
+    ``salvage`` selects the finalization read policy (and must match the
+    batch side being compared against).
     """
 
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
     warmup_bursts: int = 48
     reservoir_capacity: int = 64
-    max_samples_per_burst: int = 512
     refit_every: int = 32
-    drift_window: int = 64
-    drift_noise_threshold: float = 0.30
-    assign_factor: float = 1.5
-    slope_shift_factor: float = 1.5
-    max_pending_bursts: int = 256
-    dedup_window: int = 4096
-    progress_every_records: int = 5000
     seed: int = 0
     salvage: bool = False
 
@@ -107,11 +131,6 @@ class StreamConfig:
             )
         if self.refit_every < 1:
             raise StreamError(f"refit_every must be >= 1, got {self.refit_every}")
-        if self.progress_every_records < 1:
-            raise StreamError(
-                f"progress_every_records must be >= 1, "
-                f"got {self.progress_every_records}"
-            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -121,15 +140,7 @@ class StreamConfig:
         for name in (
             "warmup_bursts",
             "reservoir_capacity",
-            "max_samples_per_burst",
             "refit_every",
-            "drift_window",
-            "drift_noise_threshold",
-            "assign_factor",
-            "slope_shift_factor",
-            "max_pending_bursts",
-            "dedup_window",
-            "progress_every_records",
             "seed",
             "salvage",
         ):
@@ -138,8 +149,20 @@ class StreamConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "StreamConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output.
+
+        A retired option (see :data:`_RETIRED_FIELDS`) is dropped when it
+        holds the value it is now fixed at, so checkpoints of earlier
+        releases resume; any other value cannot be honoured and raises
+        :class:`~repro.errors.StreamError` naming the option.
+        """
         kwargs = dict(data)
+        for name, fixed in _RETIRED_FIELDS.items():
+            if name in kwargs and kwargs.pop(name) != fixed:
+                raise StreamError(
+                    f"stream option {name}={data[name]!r} is no longer "
+                    f"configurable (fixed at {fixed!r})"
+                )
         kwargs["analyzer"] = config_from_dict(kwargs["analyzer"])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -240,23 +263,19 @@ class StreamEngine:
 
     def __init__(self, config: Optional[StreamConfig] = None) -> None:
         self.config = config or StreamConfig()
-        self.parser = TraceParser(
-            ReadPolicy.SALVAGE, dedup_window=self.config.dedup_window
-        )
+        self.parser = TraceParser(ReadPolicy.SALVAGE, dedup_window=DEDUP_WINDOW)
         self.assembler = IncrementalBurstAssembler(
             min_duration=self.config.analyzer.min_burst_duration_s,
-            max_pending=self.config.max_pending_bursts,
+            max_pending=MAX_PENDING_BURSTS,
         )
         self.model: Optional[OnlineClusterModel] = None
         self.rng = np.random.default_rng(self.config.seed)
         self.warmup = ClusterReservoir(
             capacity=max(4 * self.config.warmup_bursts, self.config.warmup_bursts),
-            max_samples_per_burst=self.config.max_samples_per_burst,
+            max_samples_per_burst=MAX_SAMPLES_PER_BURST,
         )
         self.reservoirs: Dict[int, ClusterReservoir] = {}
-        self.drift = DriftWindow(
-            self.config.drift_window, self.config.drift_noise_threshold
-        )
+        self.drift = DriftWindow(DRIFT_WINDOW, DRIFT_NOISE_THRESHOLD)
         self.clusters: Dict[int, _ClusterState] = {}
         self.n_records = 0
         self.n_bursts = 0
@@ -284,7 +303,7 @@ class StreamEngine:
             self.n_records += 1
             for burst in self.assembler.feed(record):
                 self._ingest_burst(burst)
-            if self.n_records % self.config.progress_every_records == 0:
+            if self.n_records % PROGRESS_EVERY_RECORDS == 0:
                 self._publish_progress()
         return self.n_records - before
 
@@ -315,7 +334,7 @@ class StreamEngine:
         if reservoir is None:
             reservoir = self.reservoirs[cid] = ClusterReservoir(
                 capacity=self.config.reservoir_capacity,
-                max_samples_per_burst=self.config.max_samples_per_burst,
+                max_samples_per_burst=MAX_SAMPLES_PER_BURST,
             )
         return reservoir
 
@@ -332,7 +351,7 @@ class StreamEngine:
         model, labels = OnlineClusterModel.fit(
             self.warmup.items,
             self.config.analyzer,
-            assign_factor=self.config.assign_factor,
+            assign_factor=ASSIGN_FACTOR,
         )
         if model is None:
             return
@@ -356,7 +375,7 @@ class StreamEngine:
             "stream_drift",
             label="watch",
             noise_fraction=round(self.drift.noise_fraction, 4),
-            window=self.config.drift_window,
+            window=DRIFT_WINDOW,
         )
         self.drift.reset()
         pool: List[ComputationBurst] = []
@@ -365,7 +384,7 @@ class StreamEngine:
         model, labels = OnlineClusterModel.fit(
             pool,
             self.config.analyzer,
-            assign_factor=self.config.assign_factor,
+            assign_factor=ASSIGN_FACTOR,
         )
         if model is None:
             return  # keep the old model; the window restarts from empty
@@ -439,14 +458,14 @@ class StreamEngine:
                 )
             elif state.mean_slope is not None and state.mean_slope > 0 and mean_slope > 0:
                 ratio = max(mean_slope / state.mean_slope, state.mean_slope / mean_slope)
-                if ratio > self.config.slope_shift_factor:
+                if ratio > SLOPE_SHIFT_FACTOR:
                     self.n_drift_events += 1
                     publish(
                         "stream_drift",
                         label=f"cluster-{cid}",
                         cluster=cid,
                         slope_ratio=round(ratio, 4),
-                        threshold=self.config.slope_shift_factor,
+                        threshold=SLOPE_SHIFT_FACTOR,
                     )
             state.n_phases = n_phases
             state.mean_slope = mean_slope
@@ -537,7 +556,7 @@ class StreamEngine:
             if got:
                 last_data = now
                 # keep the live gauges fresh for mid-stream scrapes even
-                # when the trace is smaller than progress_every_records
+                # when the trace is smaller than PROGRESS_EVERY_RECORDS
                 self._publish_progress()
             if should_stop is not None and should_stop():
                 return "stopped"

@@ -36,7 +36,7 @@ from repro.clustering.bursts import BurstSet, ComputationBurst
 
 # Not called here; e2ebench/spans.py resolves this name on this module.
 from repro.clustering.dbscan import estimate_eps  # noqa: F401
-from repro.clustering.features import build_features
+from repro.clustering.features import build_features, raw_features
 from repro.errors import ClusteringError, StreamError
 from repro.resilience.diagnostics import Diagnostics, Severity
 
@@ -214,21 +214,16 @@ class OnlineClusterModel:
 
     def transform(self, burst: ComputationBurst) -> Optional[np.ndarray]:
         """Project one burst through the frozen scaling, or None when the
-        burst cannot produce a complete finite feature vector."""
-        if not burst.has_counter("PAPI_TOT_INS"):
-            return None
-        instructions = burst.delta("PAPI_TOT_INS")
+        burst cannot produce a complete finite feature vector.
+
+        The raw columns come from
+        :func:`~repro.clustering.features.raw_features`, so a burst of the
+        fitted set projects to exactly its row of the batch features.
+        """
+        instructions = burst.delta_or_nan("PAPI_TOT_INS")
         if not (math.isfinite(instructions) and instructions > 0):
             return None
-        raw = np.empty(len(self.feature_names))
-        for i, name in enumerate(self.feature_names):
-            if name == "log10_duration":
-                raw[i] = math.log10(burst.duration)
-            else:
-                counter = name[: -len("_per_ins")]
-                if not burst.has_counter(counter):
-                    return None
-                raw[i] = burst.delta(counter) / instructions
+        raw = raw_features(BurstSet([burst]), self.feature_names)[0]
         if not np.all(np.isfinite(raw)):
             return None
         return (raw - self.means) / self.scales

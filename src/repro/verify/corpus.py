@@ -23,7 +23,7 @@ import numpy as np
 from repro.clustering.bursts import ComputationBurst
 from repro.fitting.pwlr import PiecewiseLinearModel
 from repro.folding.instances import ClusterInstances
-from repro.trace.records import SampleRecord
+from repro.trace.records import SampleRecord, Trace
 
 __all__ = [
     "PWLCase",
@@ -31,6 +31,7 @@ __all__ = [
     "BurstCase",
     "MonotonicityCase",
     "BoundaryCase",
+    "BurstTraceCase",
     "pwl_datasets",
     "point_clouds",
     "grid_edge_cloud",
@@ -41,6 +42,7 @@ __all__ = [
     "boundary_sets",
     "random_models",
     "write_case_traces",
+    "burst_traces",
 ]
 
 
@@ -528,3 +530,80 @@ def write_case_traces(seed: int, directory: str, n: int = 2) -> List[str]:
         write_trace(trace, path)
         paths.append(path)
     return paths
+
+
+@dataclass
+class BurstTraceCase:
+    """One trace for the burst-extraction suite, with its duration cut."""
+
+    name: str
+    trace: Trace
+    min_duration: float = 0.0
+
+
+def _damage_probes(trace: Trace, rng: np.random.Generator, rate: float) -> Trace:
+    """``trace`` with each probe dropped, or written twice, at ``rate``."""
+    probes = []
+    for probe in trace.instrumentation:
+        u = rng.random()
+        if u < rate:
+            continue
+        probes.append(probe)
+        if u > 1.0 - rate:
+            probes.append(probe)
+    return Trace(
+        n_ranks=trace.n_ranks,
+        app_name=trace.app_name,
+        states=list(trace.states),
+        instrumentation=probes,
+        samples=list(trace.samples),
+        metadata=dict(trace.metadata),
+    )
+
+
+def burst_traces(
+    seed: int, paths: Sequence[str], full: bool = False
+) -> List[BurstTraceCase]:
+    """Clean and damaged traces for burst extraction.
+
+    From each trace file (quick mode: the first only) come the clean trace;
+    a copy with probes dropped and written twice (the salvage reader drops
+    a repeated line, so this damage is made on the records); salvage reads
+    of the text after :mod:`repro.resilience.inject` bit flips, a torn
+    tail, and duplicated records with clock-skewed samples; and the clean
+    trace cut at its median burst duration.
+    """
+    from repro.resilience.inject import CorruptionSpec, corrupt_trace_text
+    from repro.trace.reader import load_trace_text, salvage_trace_text
+    from repro.verify.oracles import oracle_extract_bursts
+
+    corruptions = [
+        ("bitflip", [CorruptionSpec("bitflip_fields", 0.05)]),
+        ("torn", [CorruptionSpec("truncate", 0.03)]),
+        ("dup-skew", [
+            CorruptionSpec("duplicate_records", 0.05),
+            CorruptionSpec("clock_skew", 0.2),
+        ]),
+    ]
+    cases: List[BurstTraceCase] = []
+    for i, path in enumerate(paths if full else paths[:1]):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        clean = load_trace_text(text)
+        cases.append(BurstTraceCase(f"trace{i}", clean))
+        rng = np.random.default_rng(seed + i)
+        cases.append(
+            BurstTraceCase(f"trace{i}-probes", _damage_probes(clean, rng, 0.05))
+        )
+        for name, specs in corruptions:
+            damaged, _report = salvage_trace_text(
+                corrupt_trace_text(text, specs, seed=seed + i)
+            )
+            cases.append(BurstTraceCase(f"trace{i}-{name}", damaged))
+        durations = [b.duration for b in oracle_extract_bursts(clean)]
+        cases.append(
+            BurstTraceCase(
+                f"trace{i}-cut", clean, min_duration=float(np.median(durations))
+            )
+        )
+    return cases

@@ -271,6 +271,121 @@ class SelftestContext:
 # ----------------------------------------------------------------------
 # stage suites
 # ----------------------------------------------------------------------
+@_suite("bursts")
+def _suite_bursts(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
+    """Burst extraction vs the whole-rank oracle scan, in three feed
+    orders of the one assembler: rank by rank (the batch order, both
+    driven here and through ``extract_bursts``), time-interleaved (the
+    live order), and time-interleaved with a JSON checkpoint resume
+    halfway.  Bursts (bounds, counters, attached samples in order) and
+    mispaired counts must be exact, the batch order must come out in
+    ``(rank, index)`` order, and the first two orders must emit no burst
+    early."""
+    from repro.clustering.bursts import IncrementalBurstAssembler, extract_bursts
+    from repro.errors import ClusteringError
+    from repro.stream.engine import MAX_PENDING_BURSTS
+    from repro.verify.corpus import burst_traces
+    from repro.verify.oracles import oracle_extract_bursts
+
+    def signature(bursts) -> list:
+        return [
+            (
+                b.rank, b.index, b.t_start, b.t_end,
+                sorted(b.start_counters.items()),
+                sorted(b.end_counters.items()),
+                [(s.rank, s.time, sorted(s.counters.items()), tuple(s.frames))
+                 for s in b.samples],
+            )
+            for b in bursts
+        ]
+
+    def feed(assembler, records) -> list:
+        out = []
+        for record in records:
+            out.extend(assembler.feed(record))
+        return out
+
+    def by_rank(bursts) -> list:
+        # live orders interleave ranks; the batch orders must not
+        return sorted(bursts, key=lambda b: (b.rank, b.index))
+
+    out: List[Divergence] = []
+    n_cases = 0
+    for case in burst_traces(ctx.seed, ctx.trace_paths(), ctx.full):
+        trace, cut = case.trace, case.min_duration
+        want_mispaired: Dict[int, int] = {}
+        want = signature(oracle_extract_bursts(trace, cut, want_mispaired))
+
+        got_mispaired: Dict[int, int] = {}
+        try:
+            got = signature(extract_bursts(trace, cut, got_mispaired))
+        except ClusteringError:
+            got = []
+        results = [("extract_bursts", got, got_mispaired, 0)]
+
+        batch = IncrementalBurstAssembler(cut, max_pending=len(trace.instrumentation))
+        emitted = []
+        for rank in range(trace.n_ranks):
+            emitted += feed(batch, trace.instrumentation_of(rank))
+            emitted += feed(batch, trace.samples_of(rank))
+            emitted += batch.flush()
+        results.append(
+            ("per-rank", signature(emitted), batch.mispaired, batch.forced_emissions)
+        )
+
+        records = sorted(
+            list(trace.instrumentation) + list(trace.samples), key=lambda r: r.time
+        )
+        live = IncrementalBurstAssembler(cut, max_pending=MAX_PENDING_BURSTS)
+        emitted = feed(live, records) + live.flush()
+        results.append(
+            ("interleaved", signature(by_rank(emitted)), live.mispaired,
+             live.forced_emissions)
+        )
+
+        half = len(records) // 2
+        first = IncrementalBurstAssembler(cut, max_pending=MAX_PENDING_BURSTS)
+        emitted = feed(first, records[:half])
+        resumed = IncrementalBurstAssembler.from_state(
+            json.loads(json.dumps(first.state_to_dict()))
+        )
+        emitted += feed(resumed, records[half:]) + resumed.flush()
+        # the resumed run forces exactly what the uninterrupted one did
+        results.append(
+            ("resumed", signature(by_rank(emitted)), resumed.mispaired,
+             resumed.forced_emissions - live.forced_emissions)
+        )
+        if resumed.state_to_dict() != live.state_to_dict():
+            out.append(
+                Divergence(
+                    "bursts", f"{case.name}.resumed", ctx.seed,
+                    "final assembler state differs from the uninterrupted run",
+                )
+            )
+
+        for order, bursts, mispaired, forced in results:
+            n_cases += 1
+            label = f"{case.name}.{order}"
+            d = (
+                _compare_exact("bursts", label, ctx.seed, "n bursts", len(bursts), len(want))
+                or _compare_exact(
+                    "bursts", label, ctx.seed, "mispaired", dict(mispaired), want_mispaired
+                )
+                or _compare_exact("bursts", label, ctx.seed, "forced emissions", forced, 0)
+            )
+            if d is None and bursts != want:
+                first_bad = next(
+                    i for i, (g, w) in enumerate(zip(bursts, want)) if g != w
+                )
+                d = Divergence(
+                    "bursts", label, ctx.seed,
+                    f"burst {want[first_bad][:2]} differs from the oracle",
+                )
+            if d:
+                out.append(d)
+    return n_cases, out
+
+
 @_suite("fold")
 def _suite_fold(ctx: SelftestContext) -> Tuple[int, List[Divergence]]:
     """Vectorized fold_cluster vs the per-burst scalar oracle.

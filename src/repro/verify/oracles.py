@@ -20,6 +20,7 @@ inputs and the limitation is documented.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import VerificationError
 
 __all__ = [
+    "oracle_extract_bursts",
     "OracleFold",
     "oracle_fold_cluster",
     "oracle_instance_monotonicity",
@@ -40,6 +42,73 @@ __all__ = [
     "oracle_estimate_eps",
     "oracle_dbscan",
 ]
+
+
+# ----------------------------------------------------------------------
+# burst extraction
+# ----------------------------------------------------------------------
+def oracle_extract_bursts(
+    trace, min_duration: float = 0.0, mispaired: Optional[Dict[int, int]] = None
+) -> list:
+    """Bursts of ``trace`` by a whole-rank scan: pair every rank's probes
+    first, then cut each rank's sorted samples at the burst bounds.
+
+    The pairing rules are those of
+    :class:`repro.clustering.bursts.IncrementalBurstAssembler`: a burst
+    from t=0 (zero counters keyed by the first probe) to the first
+    ``comm_enter`` and from each ``comm_exit`` to the next
+    ``comm_enter``; an enter without an open exit, or an exit replacing
+    an open non-initial exit, is skipped and counted in ``mispaired``;
+    intervals with ``t_end <= t_start`` or shorter than ``min_duration``
+    are dropped; samples strictly inside ``(t_start, t_end)`` attach.
+    Returns the :class:`~repro.clustering.bursts.ComputationBurst` list
+    in ``(rank, index)`` order (empty when there is none); that record
+    type is the only code it shares with the extractor.
+    """
+    from repro.clustering.bursts import ComputationBurst
+
+    out = []
+    for rank in range(trace.n_ranks):
+        probes = trace.instrumentation_of(rank)
+        if not probes:
+            continue
+        samples = trace.samples_of(rank)
+        sample_times = [s.time for s in samples]
+
+        zero = {name: 0.0 for name in probes[0].counters}
+        open_boundary: Optional[tuple] = (0.0, zero)
+        pairs: List[tuple] = []
+        for probe in probes:
+            if probe.marker == "comm_enter":
+                if open_boundary is None:
+                    if mispaired is not None:
+                        mispaired[rank] = mispaired.get(rank, 0) + 1
+                    continue
+                pairs.append((open_boundary, (probe.time, probe.counters)))
+                open_boundary = None
+            else:
+                if open_boundary is not None and open_boundary[0] != 0.0:
+                    if mispaired is not None:
+                        mispaired[rank] = mispaired.get(rank, 0) + 1
+                open_boundary = (probe.time, probe.counters)
+        index = 0
+        for (t0, c0), (t1, c1) in pairs:
+            if t1 <= t0 or (t1 - t0) < min_duration:
+                continue
+            burst = ComputationBurst(
+                rank=rank,
+                index=index,
+                t_start=t0,
+                t_end=t1,
+                start_counters=dict(c0),
+                end_counters=dict(c1),
+            )
+            lo = bisect.bisect_right(sample_times, t0)
+            hi = bisect.bisect_left(sample_times, t1)
+            burst.samples = samples[lo:hi]
+            out.append(burst)
+            index += 1
+    return out
 
 
 # ----------------------------------------------------------------------

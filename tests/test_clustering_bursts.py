@@ -45,10 +45,6 @@ class TestExtractBursts:
         in_compute = sum(1 for s in multiphase_trace.samples if not s.in_mpi)
         assert attached == in_compute
 
-    def test_attach_samples_off(self, multiphase_trace):
-        bursts = extract_bursts(multiphase_trace, attach_samples=False)
-        assert bursts.n_samples == 0
-
     def test_min_duration_filter(self, multiphase_trace):
         bursts_all = extract_bursts(multiphase_trace)
         cutoff = float(np.median(bursts_all.durations()))

@@ -16,12 +16,14 @@ import pytest
 
 from repro.analysis.pipeline import FoldingAnalyzer
 from repro.clustering.bursts import extract_bursts
+from repro.clustering.features import build_features
 from repro.errors import SalvageError, StreamError, TraceFormatError
 from repro.observability.context import Observability
 from repro.resilience.inject import CorruptionSpec, corrupt_trace_text
 from repro.store import result_to_dict, result_to_json
 from repro.stream import (
     IncrementalBurstAssembler,
+    OnlineClusterModel,
     StreamConfig,
     StreamEngine,
     StreamParser,
@@ -40,6 +42,7 @@ from repro.trace.records import (
     StateRecord,
 )
 from repro.trace.writer import TraceTailWriter, dump_trace_text, write_trace
+from repro.verify.oracles import oracle_extract_bursts
 
 
 def _records_of(trace):
@@ -277,14 +280,13 @@ class TestIncrementalAssembler:
 
     def test_parity_with_batch_extractor(self, multiphase_trace):
         mispaired = {}
-        want = extract_bursts(multiphase_trace, mispaired=mispaired)
+        want = oracle_extract_bursts(multiphase_trace, mispaired=mispaired)
         assembler = IncrementalBurstAssembler()
         got = []
         for record in self._stream_records(multiphase_trace):
             got.extend(assembler.feed(record))
         got.extend(assembler.flush())
         got.sort(key=lambda b: (b.rank, b.index))
-        want = sorted(want, key=lambda b: (b.rank, b.index))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert (g.rank, g.index) == (w.rank, w.index)
@@ -329,6 +331,20 @@ class TestIncrementalAssembler:
         resumed.flush()
         assert resumed.n_bursts == straight.n_bursts
         assert resumed.mispaired == straight.mispaired
+
+
+class TestOnlineModel:
+    def test_transform_matches_batch_features_bitwise(self, multiphase_trace):
+        # A burst of the fitted set projects to exactly its batch row.
+        bursts = extract_bursts(multiphase_trace)
+        features = build_features(bursts)
+        model = OnlineClusterModel(
+            features.feature_names, features.means, features.stds,
+            centroids=features.values[:1], eps=1.0, min_pts=4,
+            assign_factor=1.5,
+        )
+        for i, burst in enumerate(bursts):
+            assert model.transform(burst).tobytes() == features.values[i].tobytes()
 
 
 class TestStreamEngine:
@@ -426,12 +442,15 @@ class TestStreamEngine:
         finally:
             os.unlink(spool)
 
-    def test_telemetry_events_and_gauges(self, multiphase_trace_file):
+    def test_telemetry_events_and_gauges(self, multiphase_trace_file, monkeypatch):
+        import repro.stream.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "PROGRESS_EVERY_RECORDS", 100)
         obs = Observability()
         kinds = []
         with obs.activate():
             obs.events.subscribe(lambda e: kinds.append(e.kind))
-            engine = StreamEngine(StreamConfig(progress_every_records=100))
+            engine = StreamEngine(StreamConfig())
             source = TraceTailSource(multiphase_trace_file)
             for chunk in source.drain():
                 engine.process_text(chunk)

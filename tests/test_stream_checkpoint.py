@@ -106,15 +106,15 @@ class TestCheckpointResume:
         with pytest.raises(StreamError, match="prefix"):
             resume_engine(checkpoint, copy)
 
-    def _with_analyzer_field(self, checkpoint, path, value):
-        """Set a field of the checkpoint's stored analyzer config (``path``
+    def _with_config_field(self, checkpoint, path, value):
+        """Set a field of the checkpoint's stored stream config (``path``
         is the key path inside it) and re-seal it, as a checkpoint written
         by an older release would carry."""
         from repro.stream.checkpoint import _canonical
 
         document = json.loads(open(checkpoint, encoding="utf-8").read())
         payload = document["payload"]
-        target = payload["engine"]["config"]["analyzer"]
+        target = payload["engine"]["config"]
         *outer, name = path
         for key in outer:
             target = target[key]
@@ -125,7 +125,10 @@ class TestCheckpointResume:
         with open(checkpoint, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
 
-    def _assert_resumes_with_field(self, trace_file, tmp_path, path, value):
+    def _with_analyzer_field(self, checkpoint, path, value):
+        self._with_config_field(checkpoint, ("analyzer", *path), value)
+
+    def _assert_resumes_with_fields(self, trace_file, tmp_path, fields):
         checkpoint = str(tmp_path / "mid.ckpt")
         straight = StreamEngine(StreamConfig())
         source = TraceTailSource(trace_file, chunk_size=2048)
@@ -135,7 +138,8 @@ class TestCheckpointResume:
         source.close()
 
         _run_partial(trace_file, checkpoint)
-        self._with_analyzer_field(checkpoint, path, value)
+        for path, value in fields.items():
+            self._with_config_field(checkpoint, path, value)
         engine, source = resume_engine(checkpoint, trace_file, StreamConfig())
         for text in source.drain():
             engine.process_text(text)
@@ -145,16 +149,47 @@ class TestCheckpointResume:
     def test_checkpoint_with_retired_search_kernel_resumes(
         self, multiphase_trace_file, tmp_path
     ):
-        self._assert_resumes_with_field(
-            multiphase_trace_file, tmp_path, ("pwlr", "search_kernel"), "exact"
+        self._assert_resumes_with_fields(
+            multiphase_trace_file, tmp_path,
+            {("analyzer", "pwlr", "search_kernel"): "exact"},
         )
 
     def test_checkpoint_with_retired_n_jobs_resumes(
         self, multiphase_trace_file, tmp_path
     ):
-        self._assert_resumes_with_field(
-            multiphase_trace_file, tmp_path, ("n_jobs",), 2
+        self._assert_resumes_with_fields(
+            multiphase_trace_file, tmp_path, {("analyzer", "n_jobs"): 2}
         )
+
+    def test_checkpoint_with_retired_stream_options_resumes(
+        self, multiphase_trace_file, tmp_path
+    ):
+        # The options earlier releases stored, at the defaults they had:
+        # the values they are now fixed at, so the checkpoint still means
+        # the same thing.
+        retired = {
+            "max_samples_per_burst": 512,
+            "drift_window": 64,
+            "drift_noise_threshold": 0.30,
+            "assign_factor": 1.5,
+            "slope_shift_factor": 1.5,
+            "max_pending_bursts": 256,
+            "dedup_window": 4096,
+            "progress_every_records": 5000,
+        }
+        self._assert_resumes_with_fields(
+            multiphase_trace_file, tmp_path,
+            {(name,): value for name, value in retired.items()},
+        )
+
+    def test_checkpoint_with_changed_retired_stream_option_refused(
+        self, multiphase_trace_file, tmp_path
+    ):
+        checkpoint = str(tmp_path / "mid.ckpt")
+        _run_partial(multiphase_trace_file, checkpoint)
+        self._with_config_field(checkpoint, ("drift_window",), 32)
+        with pytest.raises(StreamError, match="drift_window"):
+            resume_engine(checkpoint, multiphase_trace_file)
 
     def test_checkpoint_with_unknown_pwlr_field_refused(
         self, multiphase_trace_file, tmp_path

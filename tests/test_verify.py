@@ -39,6 +39,7 @@ class TestRunner:
         names = available_suites()
         # the oracle equivalence suites the issue mandates
         for required in (
+            "bursts",
             "fold",
             "filters",
             "pwlr_lstsq",
