@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.fitting.pwlr import PiecewiseLinearModel, refit_slopes
+from repro.fitting.pwlr import PiecewiseLinearModel, fit_fixed_breakpoints
 from repro.folding.fold import FoldedCounter
 
 __all__ = ["RateInterval", "bootstrap_phase_rates"]
@@ -98,7 +98,9 @@ def bootstrap_phase_rates(
             # degenerate resample (tiny instances); redraw deterministic-ly
             slopes_boot[b] = model.slopes
             continue
-        refit = refit_slopes(x, y, model, anchor=anchor, monotone=monotone)
+        refit = fit_fixed_breakpoints(
+            x, y, model.breakpoints, anchor=anchor, monotone=monotone
+        )
         slopes_boot[b] = refit.slopes
 
     alpha = 1.0 - confidence

@@ -32,6 +32,7 @@ from repro.trace.records import (
     SampleRecord,
     StateRecord,
     Trace,
+    records_by_rank,
 )
 
 __all__ = [
@@ -636,10 +637,12 @@ def extract_bursts(
             min_duration, max_pending=len(trace.instrumentation)
         )
         bursts: List[ComputationBurst] = []
-        for rank in range(trace.n_ranks):
-            for record in trace.instrumentation_of(rank):
+        probes = records_by_rank(trace.instrumentation, trace.n_ranks)
+        samples = records_by_rank(trace.samples, trace.n_ranks)
+        for rank_probes, rank_samples in zip(probes, samples):
+            for record in rank_probes:
                 bursts.extend(assembler.feed(record))
-            for record in trace.samples_of(rank):
+            for record in rank_samples:
                 bursts.extend(assembler.feed(record))
             bursts.extend(assembler.flush())
         if not bursts:

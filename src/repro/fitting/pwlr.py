@@ -40,7 +40,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar, nnls
 
 from repro.errors import FittingError
-from repro.fitting.linear import weighted_lstsq
 from repro.fitting import model_selection
 from repro.fitting.moments import MomentProfile
 from repro.observability.context import counter as _metric_counter
@@ -52,7 +51,6 @@ __all__ = [
     "PWLRConfig",
     "fit_fixed_breakpoints",
     "fit_pwlr",
-    "refit_slopes",
     "refit_slopes_many",
 ]
 
@@ -283,6 +281,64 @@ def _finish_model(
     )
 
 
+def _fit_at(
+    x: np.ndarray,
+    ys: Sequence[np.ndarray],
+    breakpoints: Sequence[float],
+    anchor: bool,
+    anchor_weight: float,
+    monotone: bool,
+) -> List[PiecewiseLinearModel]:
+    """The one fixed-breakpoint least-squares solve, for every target in
+    ``ys`` on the shared abscissa ``x``.
+
+    The anchored, sqrt-weighted design is built once; each target is then
+    solved on its own, by NNLS with a free intercept (``a = a_plus -
+    a_minus``, both >= 0) when ``monotone``, else by minimum-norm
+    ``lstsq``, so a batch of targets is bit-identical to one call per
+    target.
+    """
+    x = np.asarray(x, dtype=float)
+    targets = [np.asarray(yy, dtype=float) for yy in ys]
+    for yy in targets:
+        if x.ndim != 1 or x.shape != yy.shape:
+            raise FittingError(
+                f"x/y must be equal-length 1-D arrays: {x.shape} vs {yy.shape}"
+            )
+    if x.size < 2:
+        raise FittingError(f"need at least 2 points to fit, got {x.size}")
+    bp = np.sort(np.asarray(breakpoints, dtype=float))
+    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
+        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
+
+    n = x.size
+    if anchor:
+        w_anchor = anchor_weight * n
+        x_fit = np.concatenate([x, [0.0, 1.0]])
+        weights = np.concatenate([np.ones(n), [w_anchor, w_anchor]])
+    else:
+        x_fit, weights = x, np.ones(n)
+    sqrt_w = np.sqrt(weights)
+    columns = [np.ones_like(x_fit)]
+    if monotone:
+        columns.append(-np.ones_like(x_fit))
+    columns.append(_segment_basis(x_fit, bp))
+    scaled = np.column_stack(columns) * sqrt_w[:, None]
+    n_intercept = 2 if monotone else 1
+
+    models: List[PiecewiseLinearModel] = []
+    for yy in targets:
+        target = (np.concatenate([yy, [0.0, 1.0]]) if anchor else yy) * sqrt_w
+        if monotone:
+            coeffs, _ = nnls(scaled, target)
+            intercept = float(coeffs[0] - coeffs[1])
+        else:
+            coeffs = np.linalg.lstsq(scaled, target, rcond=None)[0]
+            intercept = float(coeffs[0])
+        models.append(_finish_model(x, yy, bp, intercept, coeffs[n_intercept:]))
+    return models
+
+
 def fit_fixed_breakpoints(
     x: np.ndarray,
     y: np.ndarray,
@@ -296,39 +352,7 @@ def fit_fixed_breakpoints(
     ``anchor_weight`` is the fraction of the total sample weight assigned
     to *each* of the two pseudo-points (0,0) and (1,1).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise FittingError(f"x/y must be equal-length 1-D arrays: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise FittingError(f"need at least 2 points to fit, got {x.size}")
-    bp = np.sort(np.asarray(breakpoints, dtype=float))
-    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
-        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
-
-    n = x.size
-    if anchor:
-        w_anchor = anchor_weight * n
-        x_fit = np.concatenate([x, [0.0, 1.0]])
-        y_fit = np.concatenate([y, [0.0, 1.0]])
-        weights = np.concatenate([np.ones(n), [w_anchor, w_anchor]])
-    else:
-        x_fit, y_fit, weights = x, y, np.ones(n)
-
-    basis = _segment_basis(x_fit, bp)
-    if monotone:
-        # NNLS with a free intercept: a = a_plus - a_minus, both >= 0.
-        design = np.column_stack([np.ones_like(x_fit), -np.ones_like(x_fit), basis])
-        sqrt_w = np.sqrt(weights)
-        coeffs, _ = nnls(design * sqrt_w[:, None], y_fit * sqrt_w)
-        intercept = float(coeffs[0] - coeffs[1])
-        slopes = coeffs[2:]
-    else:
-        design = np.column_stack([np.ones_like(x_fit), basis])
-        coeffs, _ = weighted_lstsq(design, y_fit, weights)
-        intercept = float(coeffs[0])
-        slopes = coeffs[1:]
-    return _finish_model(x, y, bp, intercept, slopes)
+    return _fit_at(x, [y], breakpoints, anchor, anchor_weight, monotone)[0]
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +515,9 @@ def _fit_pwlr_impl(
                 if merged_breaks.size < best_model.breakpoints.size:
                     best_model = final_fit(list(merged_breaks))
             if cfg.min_phase_span > 0 and best_model.breakpoints.size:
-                cleaned = _drop_narrowest_sliver(best_model, cfg.min_phase_span)
+                cleaned = model_selection.drop_narrowest_sliver(
+                    best_model.breakpoints, [best_model], cfg.min_phase_span
+                )
                 if cleaned is not None:
                     best_model = final_fit(cleaned)
             if best_model.breakpoints.size == before:
@@ -607,126 +633,27 @@ def _continuous_refine(
     return breaks
 
 
-def _drop_narrowest_sliver(
-    model: PiecewiseLinearModel, min_phase_span: float
-) -> Optional[List[float]]:
-    """Breakpoints after removing the weaker boundary of the narrowest
-    too-narrow segment; ``None`` when no segment is below the span floor."""
-    breaks = [float(b) for b in model.breakpoints]
-    spans = model.segment_lengths
-    narrow = np.flatnonzero(spans < min_phase_span)
-    if narrow.size == 0:
-        return None
-    segment = int(narrow[np.argmin(spans[narrow])])
-    adjacent = [b for b in (segment - 1, segment) if 0 <= b < len(breaks)]
-    scale = float(np.mean(np.abs(model.slopes))) or 1.0
-
-    def strength(boundary_index: int) -> float:
-        return abs(
-            float(model.slopes[boundary_index + 1] - model.slopes[boundary_index])
-        ) / scale
-
-    weakest = min(adjacent, key=strength)
-    breaks.pop(weakest)
-    return breaks
-
-
-def refit_slopes(
-    x: np.ndarray,
-    y: np.ndarray,
-    model: PiecewiseLinearModel,
-    anchor: bool = True,
-    anchor_weight: float = 0.25,
-    monotone: bool = True,
-) -> PiecewiseLinearModel:
-    """Fit a *different counter*'s slopes at ``model``'s breakpoints.
-
-    The pipeline finds breakpoints once on the pivot counter (instructions)
-    and re-estimates per-segment slopes for every other counter at those
-    shared boundaries, so all metrics describe the same phases.  When
-    several counters share the same abscissa, prefer
-    :func:`refit_slopes_many`, which builds the design matrix once.
-    """
-    _metric_counter("pwlr.refits").inc()
-    return fit_fixed_breakpoints(
-        x,
-        y,
-        model.breakpoints,
-        anchor=anchor,
-        anchor_weight=anchor_weight,
-        monotone=monotone,
-    )
-
-
 def refit_slopes_many(
     x: np.ndarray,
     ys: Sequence[np.ndarray],
-    model: PiecewiseLinearModel,
+    breakpoints: Sequence[float],
     anchor: bool = True,
     anchor_weight: float = 0.25,
     monotone: bool = True,
 ) -> List[PiecewiseLinearModel]:
-    """Batched :func:`refit_slopes`: many counters sharing one abscissa.
+    """Fit *other counters'* slopes at shared ``breakpoints``.
 
-    The phase pipeline re-estimates *every* counter's slopes at the same
-    shared boundaries; calling :func:`refit_slopes` per counter rebuilds
-    an identical design matrix (segment basis + anchor rows + weight
-    scaling) each time.  This factors the design once: the monotone path
-    then runs one NNLS per counter against the shared pre-scaled design
-    — **bit-identical** to the per-counter path — and the unconstrained
-    path solves every counter at once through a precomputed
-    pseudo-inverse of the scaled design (equal within solver roundoff).
+    The pipeline finds breakpoints once on the search counters and
+    re-estimates per-segment slopes for every counter at those shared
+    boundaries, so all metrics describe the same phases.  Counters folded
+    from the same instances share ``x``, so one call solves them all on
+    one design; entry ``i`` is bit-identical to
+    ``fit_fixed_breakpoints(x, ys[i], breakpoints, ...)``.
 
     Returns one fitted model per entry of ``ys``, in order.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise FittingError(f"x must be a 1-D array: {x.shape}")
-    if x.size < 2:
-        raise FittingError(f"need at least 2 points to fit, got {x.size}")
-    targets = [np.asarray(yy, dtype=float) for yy in ys]
-    for yy in targets:
-        if yy.shape != x.shape:
-            raise FittingError(
-                f"x/y must be equal-length 1-D arrays: {x.shape} vs {yy.shape}"
-            )
-    if not targets:
-        return []
-    bp = np.sort(np.asarray(model.breakpoints, dtype=float))
-    if bp.size and (bp[0] <= 0.0 or bp[-1] >= 1.0):
-        raise FittingError(f"breakpoints must be interior to (0,1): {bp}")
-
-    n = x.size
-    if anchor:
-        w_anchor = anchor_weight * n
-        x_fit = np.concatenate([x, [0.0, 1.0]])
-        weights = np.concatenate([np.ones(n), [w_anchor, w_anchor]])
-    else:
-        x_fit, weights = x, np.ones(n)
-    basis = _segment_basis(x_fit, bp)
-    sqrt_w = np.sqrt(weights)
-
-    def target_vector(yy: np.ndarray) -> np.ndarray:
-        return np.concatenate([yy, [0.0, 1.0]]) if anchor else yy
-
-    _metric_counter("pwlr.refits").inc(len(targets))
-    _metric_counter("pwlr.refit_batches").inc()
-
-    out: List[PiecewiseLinearModel] = []
-    if monotone:
-        design = np.column_stack([np.ones_like(x_fit), -np.ones_like(x_fit), basis])
-        scaled = design * sqrt_w[:, None]
-        for yy in targets:
-            coeffs, _ = nnls(scaled, target_vector(yy) * sqrt_w)
-            out.append(
-                _finish_model(x, yy, bp, float(coeffs[0] - coeffs[1]), coeffs[2:])
-            )
-    else:
-        design = np.column_stack([np.ones_like(x_fit), basis])
-        scaled = design * sqrt_w[:, None]
-        pseudo_inverse = np.linalg.pinv(scaled)
-        stacked = np.stack([target_vector(yy) for yy in targets], axis=1)
-        coeffs = pseudo_inverse @ (stacked * sqrt_w[:, None])
-        for j, yy in enumerate(targets):
-            out.append(_finish_model(x, yy, bp, float(coeffs[0, j]), coeffs[1:, j]))
-    return out
+    models = _fit_at(x, ys, breakpoints, anchor, anchor_weight, monotone)
+    if models:
+        _metric_counter("pwlr.refits").inc(len(models))
+        _metric_counter("pwlr.refit_batches").inc()
+    return models

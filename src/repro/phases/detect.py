@@ -21,11 +21,11 @@ import numpy as np
 from repro.counters.derived import compute_metrics
 from repro.errors import FittingError, PhaseError
 from repro.fitting.kernel_smooth import KernelSmoother, smoother_breakpoints
+from repro.fitting.model_selection import drop_narrowest_sliver, significant_boundaries
 from repro.fitting.pwlr import (
     PiecewiseLinearModel,
     PWLRConfig,
     fit_pwlr,
-    refit_slopes,
     refit_slopes_many,
 )
 from repro.folding.fold import FoldedCounter
@@ -237,98 +237,85 @@ def _detect_phases_impl(
     merged = _dedupe_boundaries(candidate_breaks, dedupe_window)
 
     # 3. refit every counter at the merged boundaries and prune boundaries
-    #    insignificant for every counter
+    #    insignificant for every search counter
     refit_failed: set = set()
 
-    def refit_one_by_one(
-        counters: Sequence[str],
-        breaks: Sequence[float],
-        models: Dict[str, PiecewiseLinearModel],
-    ) -> None:
-        for counter in counters:
-            fc = folded[counter]
-            try:
-                models[counter] = refit_slopes(
-                    fc.x,
-                    fc.y,
-                    _shell_model(breaks),
-                    anchor=cfg.anchor,
-                    anchor_weight=cfg.anchor_weight,
-                    monotone=cfg.monotone,
-                )
-            except FittingError as exc:
-                # The pivot's slopes ARE the phase definition — no refit,
-                # no phases.  Any other counter just loses its metrics.
-                if not allow_fallback or counter == pivot:
-                    raise
-                refit_failed.add(counter)
-                diag.warning(
-                    "fitting",
-                    f"slope refit failed for {counter}; "
-                    f"counter dropped from phase metrics",
-                    cluster_id=cluster_id,
-                    counter=counter,
-                    error=str(exc),
-                )
+    def refit(
+        fc: FoldedCounter, ys: Sequence[np.ndarray], breaks: Sequence[float]
+    ) -> List[PiecewiseLinearModel]:
+        return refit_slopes_many(
+            fc.x,
+            ys,
+            breaks,
+            anchor=cfg.anchor,
+            anchor_weight=cfg.anchor_weight,
+            monotone=cfg.monotone,
+        )
+
+    def refit_alone(
+        counter: str, breaks: Sequence[float]
+    ) -> Optional[PiecewiseLinearModel]:
+        fc = folded[counter]
+        try:
+            return refit(fc, [fc.y], breaks)[0]
+        except FittingError as exc:
+            # The pivot's slopes ARE the phase definition — no refit, no
+            # phases.  Any other counter just loses its metrics.
+            if counter == pivot:
+                raise
+            refit_failed.add(counter)
+            diag.warning(
+                "fitting",
+                f"slope refit failed for {counter}; "
+                f"counter dropped from phase metrics",
+                cluster_id=cluster_id,
+                counter=counter,
+                error=str(exc),
+            )
+            return None
 
     def refit_all(breaks: Sequence[float]) -> Dict[str, PiecewiseLinearModel]:
         # Counters folded from the same instances share one abscissa, so
-        # their refits share one design matrix: batch each group through
-        # refit_slopes_many (bit-identical to the per-counter path) and
-        # keep the per-counter loop as the fallback that preserves the
-        # drop-one-counter failure semantics.
+        # each group is one refit_slopes_many call on one design.  Under
+        # allow_fallback a failed group is retried one counter at a time,
+        # which drops only the counters that fail on their own.
         groups: Dict[bytes, List[str]] = {}
         for counter, fc in folded.items():
-            if counter in refit_failed:
-                continue
-            groups.setdefault(fc.x.tobytes(), []).append(counter)
+            if counter not in refit_failed:
+                groups.setdefault(fc.x.tobytes(), []).append(counter)
         models: Dict[str, PiecewiseLinearModel] = {}
         for counters in groups.values():
             try:
-                fitted = refit_slopes_many(
-                    folded[counters[0]].x,
-                    [folded[c].y for c in counters],
-                    _shell_model(breaks),
-                    anchor=cfg.anchor,
-                    anchor_weight=cfg.anchor_weight,
-                    monotone=cfg.monotone,
+                fitted = refit(
+                    folded[counters[0]], [folded[c].y for c in counters], breaks
                 )
             except FittingError:
-                refit_one_by_one(counters, breaks, models)
-            else:
-                for counter, model in zip(counters, fitted):
-                    models[counter] = model
+                if not allow_fallback:
+                    raise
+                fitted = [refit_alone(c, breaks) for c in counters]
+            models.update((c, m) for c, m in zip(counters, fitted) if m is not None)
         return {c: models[c] for c in folded if c in models}
+
+    def search_models() -> List[PiecewiseLinearModel]:
+        return [counter_models[c] for c in search_counters if c in counter_models]
 
     counter_models = refit_all(merged)
     boundaries = list(merged)
     if boundaries and cfg.merge_slope_tol > 0:
-        kept = _significant_boundaries(
-            boundaries,
-            [counter_models[c] for c in search_counters if c in counter_models],
-            cfg.merge_slope_tol,
-        )
+        kept = significant_boundaries(boundaries, search_models(), cfg.merge_slope_tol)
         if len(kept) < len(boundaries):
             boundaries = kept
             counter_models = refit_all(boundaries)
 
-    # 4. merge boundary-blur slivers: a phase narrower than min_phase_span
-    #    is an artifact of the smeared knee around a true transition —
-    #    drop its weaker boundary and refit until no sliver remains.
+    # 4. merge boundary-blur slivers: drop the weaker boundary of the
+    #    narrowest phase below min_phase_span and refit, until none is left
     while boundaries and cfg.min_phase_span > 0:
-        spans = np.diff(np.concatenate([[0.0], boundaries, [1.0]]))
-        narrow = np.flatnonzero(spans < cfg.min_phase_span)
-        if narrow.size == 0:
-            break
-        segment = int(narrow[np.argmin(spans[narrow])])
-        adjacent = [b for b in (segment - 1, segment) if 0 <= b < len(boundaries)]
-        search_models = [
-            counter_models[c] for c in search_counters if c in counter_models
-        ]
-        weakest = min(
-            adjacent, key=lambda b: _boundary_strength(b, search_models)
+        cleaned = drop_narrowest_sliver(
+            boundaries, search_models(), cfg.min_phase_span
         )
-        boundaries.pop(weakest)
+        if cleaned is None:
+            break
+        boundaries = cleaned
         counter_models = refit_all(boundaries)
 
     pivot_model = counter_models[pivot]
@@ -367,18 +354,6 @@ def _detect_phases_impl(
     )
 
 
-def _shell_model(breakpoints: Sequence[float]) -> PiecewiseLinearModel:
-    """Placeholder model carrying only breakpoints (for refit_slopes)."""
-    bp = np.sort(np.asarray(list(breakpoints), dtype=float))
-    return PiecewiseLinearModel(
-        breakpoints=bp,
-        slopes=np.ones(bp.size + 1),
-        intercept=0.0,
-        sse=0.0,
-        n_points=0,
-    )
-
-
 def _dedupe_boundaries(boundaries: Sequence[float], min_separation: float) -> List[float]:
     """Average boundaries from different counters that fall within
     ``min_separation`` of each other (they describe the same transition)."""
@@ -392,37 +367,3 @@ def _dedupe_boundaries(boundaries: Sequence[float], min_separation: float) -> Li
         else:
             groups.append([b])
     return [float(np.mean(group)) for group in groups]
-
-
-def _boundary_strength(
-    index: int, models: Sequence[PiecewiseLinearModel]
-) -> float:
-    """Strength of boundary ``index``: the largest relative slope change
-    it induces across the given counter models."""
-    strength = 0.0
-    for model in models:
-        slopes = model.slopes
-        scale = float(np.mean(np.abs(slopes)))
-        if scale == 0.0:
-            continue
-        strength = max(
-            strength, abs(float(slopes[index + 1] - slopes[index])) / scale
-        )
-    return strength
-
-
-def _significant_boundaries(
-    boundaries: Sequence[float],
-    models: Sequence[PiecewiseLinearModel],
-    tol: float,
-) -> List[float]:
-    """Keep boundaries where *some* counter changes slope appreciably.
-
-    A boundary is significant for a counter when the slope change across
-    it exceeds ``tol`` times that counter's mean absolute slope.
-    """
-    return [
-        float(boundary)
-        for i, boundary in enumerate(boundaries)
-        if _boundary_strength(i, models) >= tol
-    ]

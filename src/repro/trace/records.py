@@ -26,6 +26,7 @@ __all__ = [
     "SampleRecord",
     "Trace",
     "callpath_to_frames",
+    "records_by_rank",
 ]
 
 #: ``(routine_name, file_path, line)`` — the serialized form of one frame.
@@ -238,3 +239,21 @@ class Trace:
             f"states={len(self.states)}, probes={len(self.instrumentation)}, "
             f"samples={len(self.samples)})"
         )
+
+
+def records_by_rank(records: Sequence, n_ranks: int) -> List[List]:
+    """Timestamped records split by rank (list ``r`` holds rank ``r``),
+    each in time order; ranks outside ``[0, n_ranks)`` are left out.
+
+    One pass buckets the records by rank in their given order, and a
+    stable sort by time orders each bucket: the order that
+    :meth:`Trace.instrumentation_of` / :meth:`Trace.samples_of` give each
+    rank, without one pass over all records per rank.
+    """
+    grouped: List[List] = [[] for _ in range(n_ranks)]
+    for record in records:
+        if 0 <= record.rank < n_ranks:
+            grouped[record.rank].append(record)
+    for bucket in grouped:
+        bucket.sort(key=lambda r: r.time)
+    return grouped

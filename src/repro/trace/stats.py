@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.trace.records import StateKind, Trace
+from repro.trace.records import StateKind, Trace, records_by_rank
 
 __all__ = ["TraceStats", "compute_stats"]
 
@@ -70,8 +70,8 @@ def compute_stats(trace: Trace) -> TraceStats:
     in_mpi = sum(1 for s in trace.samples if s.in_mpi)
 
     periods: List[float] = []
-    for rank in range(trace.n_ranks):
-        times = [s.time for s in trace.samples_of(rank)]
+    for rank_samples in records_by_rank(trace.samples, trace.n_ranks):
+        times = [s.time for s in rank_samples]
         if len(times) >= 2:
             periods.extend(np.diff(times).tolist())
     mean_period = float(np.mean(periods)) if periods else 0.0

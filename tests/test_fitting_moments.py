@@ -13,8 +13,8 @@ from repro.errors import FittingError
 from repro.fitting.moments import MomentProfile
 from repro.fitting.pwlr import (
     PWLRConfig,
+    fit_fixed_breakpoints,
     fit_pwlr,
-    refit_slopes,
     refit_slopes_many,
 )
 from repro.observability.context import Observability
@@ -323,39 +323,35 @@ class TestRefitSlopesMany:
             np.cumsum(rng.uniform(0.0, 0.02, n)) + rng.normal(0, 0.02, n)
             for _ in range(n_counters)
         ]
-        model = fit_pwlr(x, ys[0])
-        return x, ys, model
+        return x, ys, fit_pwlr(x, ys[0]).breakpoints
 
-    def test_monotone_batch_bit_identical_to_loop(self):
-        x, ys, model = self._make()
-        batched = refit_slopes_many(x, ys, model)
+    @pytest.mark.parametrize("anchor", [True, False], ids=["anchored", "free"])
+    @pytest.mark.parametrize(
+        "monotone", [True, False], ids=["monotone", "unconstrained"]
+    )
+    def test_batch_bit_identical_to_single_fits(self, monotone, anchor):
+        x, ys, breaks = self._make()
+        batched = refit_slopes_many(x, ys, breaks, anchor=anchor, monotone=monotone)
         for yy, got in zip(ys, batched):
-            want = refit_slopes(x, yy, model)
+            want = fit_fixed_breakpoints(
+                x, yy, breaks, anchor=anchor, monotone=monotone
+            )
             assert np.array_equal(got.breakpoints, want.breakpoints)
             assert np.array_equal(got.slopes, want.slopes)
             assert got.intercept == want.intercept
             assert got.sse == want.sse
 
-    def test_unconstrained_batch_matches_loop(self):
-        x, ys, model = self._make()
-        batched = refit_slopes_many(x, ys, model, monotone=False)
-        for yy, got in zip(ys, batched):
-            want = refit_slopes(x, yy, model, monotone=False)
-            assert np.allclose(got.slopes, want.slopes, rtol=1e-9, atol=1e-11)
-            assert got.intercept == pytest.approx(want.intercept, rel=1e-9, abs=1e-11)
-            assert got.sse == pytest.approx(want.sse, rel=1e-9, abs=1e-12)
-
     def test_counts_one_refit_per_counter(self):
-        x, ys, model = self._make(n_counters=3)
+        x, ys, breaks = self._make(n_counters=3)
         obs = Observability(collect_rss=False)
         with obs.activate():
-            refit_slopes_many(x, ys, model)
+            refit_slopes_many(x, ys, breaks)
         snap = obs.metrics.snapshot()
         assert snap["pwlr.refits"] == 3
         assert snap["pwlr.refit_batches"] == 1
 
     def test_empty_batch_and_validation(self):
-        x, ys, model = self._make()
-        assert refit_slopes_many(x, [], model) == []
+        x, ys, breaks = self._make()
+        assert refit_slopes_many(x, [], breaks) == []
         with pytest.raises(FittingError):
-            refit_slopes_many(x, [ys[0][:-1]], model)
+            refit_slopes_many(x, [ys[0][:-1]], breaks)

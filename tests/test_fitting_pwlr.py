@@ -9,7 +9,6 @@ from repro.fitting.pwlr import (
     PWLRConfig,
     fit_fixed_breakpoints,
     fit_pwlr,
-    refit_slopes,
 )
 
 
@@ -230,7 +229,7 @@ class TestRefitSlopes:
         pivot_y = normalized_pwl(x, [0.4], [2.0, 0.5])
         other_y = normalized_pwl(x, [0.4], [0.2, 3.0])
         pivot_model = fit_pwlr(x, pivot_y)
-        other_model = refit_slopes(x, other_y, pivot_model)
+        other_model = fit_fixed_breakpoints(x, other_y, pivot_model.breakpoints)
         assert np.array_equal(other_model.breakpoints, pivot_model.breakpoints)
         # slope ordering reversed vs pivot
         assert other_model.slopes[0] < other_model.slopes[1]

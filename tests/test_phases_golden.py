@@ -120,12 +120,6 @@ CASES = {
 MONOTONE = {"monotone": True, "unconstrained": False}
 
 
-def _breaks_of(arg):
-    """The shared breakpoints a refit call received (code from before the
-    one-solver refactor passed a model carrying them)."""
-    return tuple(float(b) for b in getattr(arg, "breakpoints", arg))
-
-
 def _run(case, monotone, monkeypatch=None):
     """detect_phases on ``case``; with ``monkeypatch``, also the refit
     rounds (boundaries, set of abscissas) and the search proposals."""
@@ -142,8 +136,10 @@ def _run(case, monotone, monkeypatch=None):
             return model
 
         def many(x, ys, breaks, **kw):
-            calls.append((_breaks_of(breaks), x.tobytes()))
-            return real_many(x, ys, breaks, **kw)
+            models = real_many(x, ys, breaks, **kw)
+            shared = tuple(float(b) for b in models[0].breakpoints)
+            calls.append((shared, x.tobytes()))
+            return models
 
         monkeypatch.setattr(detect_mod, "fit_pwlr", fit)
         monkeypatch.setattr(detect_mod, "refit_slopes_many", many)
@@ -169,6 +165,10 @@ def _hex(phase_set):
             for name, model in phase_set.counter_models.items()
         },
     }
+
+
+def _floats(hexes):
+    return np.array([float.fromhex(v) for v in np.atleast_1d(hexes)])
 
 
 def _spans(breaks):
@@ -217,8 +217,8 @@ def test_detect_phases_matches_golden(case, monotone, golden):
         assert got["models"][name]["breakpoints"] == model["breakpoints"], name
         for key in ("slopes", "intercept", "sse"):
             np.testing.assert_allclose(
-                np.array([float.fromhex(v) for v in np.atleast_1d(got["models"][name][key])]),
-                np.array([float.fromhex(v) for v in np.atleast_1d(model[key])]),
+                _floats(got["models"][name][key]),
+                _floats(model[key]),
                 rtol=1e-8,
                 atol=1e-12,
                 err_msg=f"{name}.{key}",

@@ -172,21 +172,15 @@ class TestPWLRFallbackChain:
         victims = [c for c in folded if c != PIVOT]
         assert victims, "fixture cluster folds only the pivot"
         victim = victims[0]
-        real_refit = detect_mod.refit_slopes
         real_many = detect_mod.refit_slopes_many
 
-        def selective_many(x, ys, model, **kwargs):
+        def selective_many(x, ys, breaks, **kwargs):
+            # Sees the group call and then the per-counter retries.
             if any(np.array_equal(yy, folded[victim].y) for yy in ys):
-                raise FittingError("forced batch refit failure")
-            return real_many(x, ys, model, **kwargs)
-
-        def selective(x, y, model, **kwargs):
-            if np.array_equal(y, folded[victim].y):
                 raise FittingError("forced refit failure")
-            return real_refit(x, y, model, **kwargs)
+            return real_many(x, ys, breaks, **kwargs)
 
         monkeypatch.setattr(detect_mod, "refit_slopes_many", selective_many)
-        monkeypatch.setattr(detect_mod, "refit_slopes", selective)
         diag = Diagnostics()
         phase_set = detect_phases(folded, diagnostics=diag, allow_fallback=True)
         assert victim not in phase_set.counter_models
@@ -198,22 +192,15 @@ class TestPWLRFallbackChain:
         self, multiphase_artifacts, monkeypatch
     ):
         folded = multiphase_artifacts.result.clusters[0].folded
-        real_refit = detect_mod.refit_slopes
         real_many = detect_mod.refit_slopes_many
 
-        def selective_many(x, ys, model, **kwargs):
+        def selective_many(x, ys, breaks, **kwargs):
             if any(np.array_equal(yy, folded[PIVOT].y) for yy in ys):
-                raise FittingError("forced batch refit failure")
-            return real_many(x, ys, model, **kwargs)
-
-        def selective(x, y, model, **kwargs):
-            if np.array_equal(y, folded[PIVOT].y):
                 raise FittingError("forced pivot refit failure")
-            return real_refit(x, y, model, **kwargs)
+            return real_many(x, ys, breaks, **kwargs)
 
         monkeypatch.setattr(detect_mod, "refit_slopes_many", selective_many)
-        monkeypatch.setattr(detect_mod, "refit_slopes", selective)
-        with pytest.raises(FittingError, match="pivot"):
+        with pytest.raises(FittingError, match="forced pivot refit failure"):
             detect_phases(folded, diagnostics=Diagnostics(), allow_fallback=True)
 
 
